@@ -8,6 +8,13 @@ and the class xi of x is a primitive r-th root of unity; on the basis
 1, xi, ..., xi^{r-2} the only relation is that all r powers of xi sum to
 0, which identifies coefficient vectors up to the all-ones line and ties
 minimal power-sum representations to minimal-in-coset residue vectors.
+
+The nonzero k-th powers are the cyclic subgroup of F* of order
+d = (q-1)/gcd(k, q-1), listed as the powers of one element of order d.
+The sumset BFS works on element ranks (the base-p number whose digits
+are the coefficients): adding a power adds its digits mod p to the
+digits of a whole frontier at once, and the result is a numpy level
+array indexed by rank.
 """
 
 from __future__ import annotations
@@ -33,6 +40,22 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def _require_budget(q: int, budget: int) -> None:
+    if q > budget:
+        raise BudgetError(q, budget, "field size")
+
+
+def _prime_divisors(n: int) -> list[int]:
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + ([n] if n > 1 else [])
 
 
 def _poly_rem(num: tuple[int, ...], den: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -71,8 +94,7 @@ def find_irreducible(p: int, n: int, budget: int = DEFAULT_FIELD_BUDGET) -> tupl
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
-    if p**n > budget:
-        raise BudgetError(p**n, budget, "field size")
+    _require_budget(p**n, budget)
     for enc in range(p**n):
         poly = tuple((enc // p**i) % p for i in range(n)) + (1,)
         if _is_irreducible(poly, p):
@@ -135,7 +157,11 @@ class FqField:
         return FqElem(self, tuple((t // self.p**i) % self.p for i in range(self.n)))
 
     def rank(self, a: FqElem) -> int:
-        return sum(c * self.p**i for i, c in enumerate(a.coeffs))
+        """Inverse of from_rank: the coefficients read as base-p digits."""
+        t = 0
+        for c in reversed(a.coeffs):
+            t = t * self.p + c
+        return t
 
     def elements(self):
         """All q elements, in rank order."""
@@ -209,13 +235,8 @@ def is_primitive_root(p: int, r: int) -> bool:
     return order == r - 1
 
 
-def cyclotomic_field(p: int, r: int) -> FqField:
-    """F_{p^(r-1)} on the basis 1, xi, ..., xi^(r-2) with sum(xi^i) = 0.
-
-    Needs p to be a primitive root modulo the prime r (that is exactly when
-    1 + x + ... + x^{r-1} is irreducible over Z/pZ); gen() is then a
-    primitive r-th root of unity.
-    """
+def _require_primitive_root(p: int, r: int) -> None:
+    """Raise ValueError unless 1 + x + ... + x^{r-1} is irreducible mod p."""
     if r < 2:
         raise ValueError(f"order must be a prime >= 2, got {r}")
     if not is_primitive_root(p, r):
@@ -223,14 +244,26 @@ def cyclotomic_field(p: int, r: int) -> FqField:
             f"1 + x + ... + x^{r - 1} is reducible mod {p}: "
             f"{p} is not a primitive root modulo {r}"
         )
+
+
+def cyclotomic_field(p: int, r: int) -> FqField:
+    """F_{p^(r-1)} on the basis 1, xi, ..., xi^(r-2) with sum(xi^i) = 0.
+
+    Needs p to be a primitive root modulo the prime r (that is exactly when
+    1 + x + ... + x^{r-1} is irreducible over Z/pZ); gen() is then a
+    primitive r-th root of unity.
+    """
+    _require_primitive_root(p, r)
     return FqField(p, (1,) * r, cyclotomic_order=r)
 
 
 def kth_power_set(f: FqField, k: int) -> set[FqElem]:
-    """{x^k : x in F}: 0 and 1 plus the multiplicative subgroup of index gcd(k, q-1).
+    """{x^k : x in F}: 0 plus the cyclic subgroup of F* of index gcd(k, q-1).
 
-    The nonzero k-th powers are exactly the solutions of x^d = 1 for
-    d = (q-1)/gcd(k, q-1), which is cheaper to test than raising to k.
+    That subgroup has order d = (q-1)/gcd(k, q-1) and consists of the
+    gcd(k, q-1)-th powers.  The first such power b = a^gcd(k, q-1), in
+    rank order of a, with b^(d/l) != 1 for every prime l | d has order
+    exactly d, so the set is 0, 1, b, ..., b^(d-1).
     """
     if k < 1:
         raise ValueError(f"power must be positive, got {k}")
@@ -238,40 +271,75 @@ def kth_power_set(f: FqField, k: int) -> set[FqElem]:
     if k_red == 1:
         return set(f.elements())
     d = (f.q - 1) // k_red
+    cofactors = [d // ell for ell in _prime_divisors(d)]
     one = f.one()
-    out = {f.zero()}
     for t in range(1, f.q):
-        a = f.from_rank(t)
-        if a**d == one:
-            out.add(a)
+        b = f.from_rank(t) ** k_red
+        if all(b**c != one for c in cofactors):
+            break
+    out = {f.zero()}
+    x = one
+    for _ in range(d):
+        out.add(x)
+        x = x * b
     return out
 
 
+def _digits(ranks, p: int, n: int) -> list:
+    """Base-p digits of each rank, one array per position (constant first)."""
+    import numpy as np
+
+    dtype = np.uint8 if p <= 256 else np.int64
+    return [(ranks // p**i % p).astype(dtype) for i in range(n)]
+
+
 @functools.lru_cache(maxsize=64)
-def _sumset_levels(f: FqField, k_red: int) -> tuple[dict[tuple[int, ...], int], int | None]:
+def _sumset_levels(f: FqField, k_red: int):
     """BFS levels of the sumset growth A_0 = {0}, A_{j+1} = A_j + powers.
 
-    Returns (level per coefficient tuple, least g with A_g = F) with g None
-    when the powers only generate a proper additive subgroup.  Treat the
-    returned dict as read-only: it is cached.
+    Returns (int32 level per rank, least g with A_g = F) with g None when
+    the powers only generate a proper additive subgroup, and level -1 on
+    the ranks never reached.  The array is cached and read-only.
+
+    A level translates the longer of frontier and powers by each entry s
+    of the shorter.  Digit i of u + s wraps exactly when digit i of u is
+    at least p - s_i, so the rank of the sum is the integer u + s less
+    p^(i+1) for each wrapping digit.  A translate has no repeats, and
+    ranks levelled before are dropped from it, so working memory stays
+    linear in the frontier and the powers (digits are kept as bytes
+    where p allows).
     """
-    powers = [a.coeffs for a in kth_power_set(f, k_red)]
+    import numpy as np
+
     p, n, q = f.p, f.n, f.q
-    zero = (0,) * n
-    levels = {zero: 0}
-    frontier = [zero]
-    depth = 0
-    while frontier and len(levels) < q:
+    powers = np.array(sorted(f.rank(a) for a in kth_power_set(f, k_red) if a), dtype=np.int64)
+    power_digits = _digits(powers, p, n)
+    levels = np.full(q, -1, dtype=np.int32)
+    levels[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
+    seen, depth = 1, 0
+    while frontier.size and seen < q:
         depth += 1
+        if frontier.size <= powers.size:
+            shifts, base, base_digits = frontier.tolist(), powers, power_digits
+        else:
+            shifts, base, base_digits = powers.tolist(), frontier, _digits(frontier, p, n)
         fresh = []
-        for a in frontier:
-            for s in powers:
-                t = tuple((x + y) % p for x, y in zip(a, s))
-                if t not in levels:
-                    levels[t] = depth
-                    fresh.append(t)
-        frontier = fresh
-    return levels, (depth if len(levels) == q else None)
+        for s in shifts:
+            t = base + s
+            for i, digits in enumerate(base_digits):
+                si = s // p**i % p
+                if si:
+                    np.subtract(t, p ** (i + 1), out=t, where=digits >= p - si)
+            t = t[levels[t] < 0]
+            levels[t] = depth
+            fresh.append(t)
+            seen += t.size
+            if seen == q:
+                break
+        frontier = np.concatenate(fresh)
+    levels.flags.writeable = False
+    return levels, (depth if seen == q else None)
 
 
 def waring_number(f: FqField, k: int, budget: int = DEFAULT_FIELD_BUDGET) -> int | None:
@@ -282,8 +350,7 @@ def waring_number(f: FqField, k: int, budget: int = DEFAULT_FIELD_BUDGET) -> int
     """
     if k < 1:
         raise ValueError(f"power must be positive, got {k}")
-    if f.q > budget:
-        raise BudgetError(f.q, budget, "field size")
+    _require_budget(f.q, budget)
     return _sumset_levels(f, gcd(k, f.q - 1))[1]
 
 
@@ -291,12 +358,13 @@ def per_element_length(f: FqField, k: int, a: FqElem, budget: int = DEFAULT_FIEL
     """Least number of k-th powers summing to a (0 for a = 0, empty sum)."""
     if k < 1:
         raise ValueError(f"power must be positive, got {k}")
-    if f.q > budget:
-        raise BudgetError(f.q, budget, "field size")
+    if a.field is not f and a.field != f:
+        raise ValueError("element belongs to a different field")
+    _require_budget(f.q, budget)
     levels, g = _sumset_levels(f, gcd(k, f.q - 1))
     if g is None:
         raise ValueError("k-th powers do not span the field additively")
-    return levels[a.coeffs]
+    return levels.item(f.rank(a))
 
 
 def to_coset_vector(a: FqElem) -> ModVec:
@@ -354,12 +422,23 @@ class WaringReport:
         }
 
 
+def _budgeted_cyclotomic_field(p: int, r: int, budget: int) -> FqField:
+    """cyclotomic_field(p, r), refused before it is built when q exceeds the budget.
+
+    Building the field runs a trial-division irreducibility test that grows
+    with q, so the hypothesis is checked first and the budget next.
+    """
+    _require_primitive_root(p, r)
+    _require_budget(p ** (r - 1), budget)
+    return cyclotomic_field(p, r)
+
+
 def verify_theorem1(p: int, r: int, budget: int = DEFAULT_FIELD_BUDGET) -> WaringReport:
     """Check g((q-1)/r, q) = (p-1)(r-1)/2 for q = p^(r-1) by sumset BFS.
 
     Needs p, r prime with p a primitive root modulo r.
     """
-    f = cyclotomic_field(p, r)
+    f = _budgeted_cyclotomic_field(p, r, budget)
     q = f.q
     k = (q - 1) // r
     computed = waring_number(f, k, budget)
@@ -378,7 +457,7 @@ def verify_theorem2(p: int, r: int, budget: int = DEFAULT_FIELD_BUDGET) -> Warin
     """
     if p == 2 or r == 2:
         raise ValueError("p and r must be odd primes")
-    f = cyclotomic_field(p, r)
+    f = _budgeted_cyclotomic_field(p, r, budget)
     q = f.q
     k = (q - 1) // (2 * r)
     computed = waring_number(f, k, budget)

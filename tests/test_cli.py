@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from leewaring import ffwaring
 from leewaring.cli import main
 
 
@@ -151,3 +152,14 @@ def test_waring_budget(capsys):
     code, _, err = run_cli(capsys, "waring", "thm2", "--p", "5", "--r", "7", "--budget", "100")
     assert code == 2
     assert "budget" in err
+
+
+def test_waring_budget_checked_before_building_field(capsys, monkeypatch):
+    def refuse(p, r):
+        raise AssertionError("the field must not be built over budget")
+
+    monkeypatch.setattr(ffwaring, "cyclotomic_field", refuse)
+    for thm in ("thm1", "thm2"):
+        code, _, err = run_cli(capsys, "waring", thm, "--p", "3", "--r", "29")
+        assert code == 2
+        assert "budget exceeded" in err and str(3**28) in err

@@ -1,6 +1,7 @@
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 from leewaring import (
@@ -22,6 +23,43 @@ from leewaring import (
     verify_theorem2,
     waring_number,
 )
+from leewaring.ffwaring import _is_prime, _sumset_levels
+
+
+def _reference_levels(f, k_red):
+    """Independent slow path: the sumset BFS on coefficient tuples in a dict."""
+    powers = [a.coeffs for a in kth_power_set(f, k_red)]
+    p, n, q = f.p, f.n, f.q
+    zero = (0,) * n
+    levels = {zero: 0}
+    frontier = [zero]
+    depth = 0
+    while frontier and len(levels) < q:
+        depth += 1
+        fresh = []
+        for a in frontier:
+            for s in powers:
+                t = tuple([(x + y) % p for x, y in zip(a, s)])
+                if t not in levels:
+                    levels[t] = depth
+                    fresh.append(t)
+            if len(levels) == q:
+                break
+        frontier = fresh
+    return levels, (depth if len(levels) == q else None)
+
+
+# Every extension field with q <= 2000 and the prime fields up to 500.  The
+# tuple reference costs about q * (number of powers) per divisor, so the
+# prime fields between 500 and 2000 would add about a minute and no new
+# code path.
+BFS_GRID = [
+    (p, n)
+    for p in range(2, 2000)
+    if _is_prime(p)
+    for n in range(1, 12)
+    if p**n <= 2000 and (n > 1 or p <= 500)
+]
 
 
 def test_is_primitive_root_examples():
@@ -87,6 +125,13 @@ def test_kth_power_set_matches_direct_powers():
             direct = {a**k for a in f.elements()}
             assert kth_power_set(f, k) == direct
             assert len(direct) == 1 + (f.q - 1) // gcd(k, f.q - 1)
+    # every subgroup order d | q - 1, from d = q - 1 (48 = 2^4 * 3, 63 = 3^2 * 7) down to d = 1
+    for f in (FqField(7, find_irreducible(7, 2)), FqField(2, find_irreducible(2, 6))):
+        for k in range(1, f.q):
+            if (f.q - 1) % k == 0:
+                direct = {a**k for a in f.elements()}
+                assert kth_power_set(f, k) == direct
+                assert len(direct) == 1 + (f.q - 1) // k
 
 
 def test_waring_number_examples():
@@ -118,6 +163,33 @@ def test_per_element_length_examples():
         per_element_length(f4, 3, f4.one())
 
 
+def test_per_element_length_rejects_foreign_elements():
+    f81 = cyclotomic_field(3, 5)
+    other81 = FqField(3, find_irreducible(3, 4))  # same q, another modulus
+    with pytest.raises(ValueError, match="different field"):
+        per_element_length(f81, 16, other81.gen())
+    f625 = FqField(5, find_irreducible(5, 4))
+    with pytest.raises(ValueError, match="different field"):
+        per_element_length(f81, 16, f625.gen())
+    # an equal field built separately is the same field
+    assert per_element_length(f81, 16, cyclotomic_field(3, 5).gen()) == 1
+
+
+@pytest.mark.parametrize("p,n", BFS_GRID)
+def test_rank_bfs_matches_tuple_bfs(p, n):
+    f = FqField(p, find_irreducible(p, n))
+    for k_red in range(1, f.q):
+        if (f.q - 1) % k_red:
+            continue
+        ref, ref_g = _reference_levels(f, k_red)
+        want = np.full(f.q, -1)
+        for coeffs, level in ref.items():
+            want[sum(c * p**i for i, c in enumerate(coeffs))] = level
+        levels, g = _sumset_levels(f, k_red)
+        assert g == ref_g == waring_number(f, k_red), (p, n, k_red)
+        assert np.array_equal(levels, want), (p, n, k_red)
+
+
 def test_to_coset_vector_examples():
     f4 = cyclotomic_field(2, 3)
     assert to_coset_vector(f4.zero()) == ModVec(2, (0, 0, 0))
@@ -140,6 +212,25 @@ def test_verify_theorem1_examples(p, r, want):
 @pytest.mark.parametrize("p,r,want", [(3, 5, 3), (5, 3, 3)])
 def test_verify_theorem2_examples(p, r, want):
     rep = verify_theorem2(p, r)
+    assert rep.computed_g == want == rep.formula_g
+    assert rep.match
+
+
+@pytest.mark.parametrize(
+    "thm,p,r,want",
+    [
+        (1, 2, 19, 9),
+        (1, 13, 5, 24),
+        (2, 13, 5, 15),
+        (1, 17, 5, 32),
+        (2, 17, 5, 20),
+        (1, 23, 5, 44),
+        (2, 23, 5, 27),
+    ],
+)
+def test_verify_theorems_at_larger_fields(thm, p, r, want):
+    assert is_primitive_root(p, r)
+    rep = (verify_theorem1 if thm == 1 else verify_theorem2)(p, r)
     assert rep.computed_g == want == rep.formula_g
     assert rep.match
 
