@@ -16,18 +16,45 @@ from typing import Sequence
 from .modring import ModVec, NormKind, norm, shift
 
 
+def norm_steps(m: int, kind: NormKind) -> tuple[int, int, int]:
+    """(rise, fall, drop): how one coordinate's weight moves from shift x to x+1.
+
+    A coordinate whose shifted residue c lies in [0, rise) gains 1, one in
+    [m - fall, m) loses drop, and one in between keeps its weight.  ONE
+    gains 1 everywhere except at m-1, which drops to 0; LEE climbs to m//2
+    and falls back, with a flat step at (m-1)/2 for odd m.
+    """
+    if kind is NormKind.ONE:
+        return m - 1, 1, m - 1
+    return m // 2, m // 2, 1
+
+
 def norm_sequence(v: ModVec, kind: NormKind) -> list[int]:
-    """All norms ||v + x*e|| for x = 0, ..., m-1."""
-    return [norm(shift(v, x), kind) for x in range(v.modulus)]
+    """All norms ||v + x*e|| for x = 0, ..., m-1, in O(m + r).
+
+    Each step x -> x+1 adds the number of coordinates in the rising window
+    of residues and subtracts drop times the number in the falling window
+    (see norm_steps); both windows slide down one residue per step, so the
+    counts are kept up to date from the coordinate histogram.
+    """
+    m = v.modulus
+    hist = [0] * m
+    for c in v.coords:
+        hist[c] += 1
+    rise, fall, drop = norm_steps(m, kind)
+    up, down = sum(hist[:rise]), sum(hist[m - fall:])
+    seq = [norm(v, kind)]
+    for x in range(m - 1):
+        seq.append(seq[-1] + up - drop * down)
+        up += hist[-x - 1] - hist[rise - x - 1]
+        down += hist[m - fall - x - 1] - hist[m - x - 1]
+    return seq
 
 
 def is_admissible(v: ModVec, kind: NormKind) -> bool:
     """True iff entry 0 of the norm sequence is a global minimum."""
-    n0 = norm(v, kind)
-    for x in range(1, v.modulus):
-        if norm(shift(v, x), kind) < n0:
-            return False
-    return True
+    seq = norm_sequence(v, kind)
+    return seq[0] == min(seq)
 
 
 def canonical_shift(v: ModVec, kind: NormKind) -> tuple[int, ModVec]:
@@ -117,9 +144,10 @@ def m_sequence(v: ModVec) -> list[int]:
         raise ValueError("m_sequence needs a balanced vector")
     m, r = v.modulus, len(v)
     half = m // 2
-    out = [norm(v, NormKind.LEE)]
+    seq = norm_sequence(v, NormKind.LEE)
+    out = [seq[0]]
     for i in range(1, r + 1):
         c = v.coords[r - i]
         x = half - c if i % 2 == 1 else m - c
-        out.append(norm(shift(v, x), NormKind.LEE))
+        out.append(seq[x % m])
     return out

@@ -20,7 +20,7 @@ import sys
 from math import gcd
 
 from . import bounds as bnd
-from .admissible import canonical_shift, is_admissible, norm_sequence
+from .admissible import is_admissible, norm_sequence
 from .construct import construct_max_lee, construct_max_norm1
 from .errors import BudgetError
 from .ffwaring import (
@@ -33,7 +33,7 @@ from .ffwaring import (
     verify_theorem2,
     waring_number,
 )
-from .modring import ModVec, NormKind, norm
+from .modring import ModVec, NormKind, norm, shift
 from .oracle import DEFAULT_BUDGET, brute_max_admissible
 
 EXIT_OK = 0
@@ -159,10 +159,11 @@ def cmd_construct(args) -> int:
 def cmd_check(args) -> int:
     v = ModVec(args.m, args.vec)
     kind = args.norm
-    value = norm(v, kind)
     seq = norm_sequence(v, kind)
-    x, shifted = canonical_shift(v, kind)
-    admissible = seq[0] == min(seq)
+    value = seq[0]
+    x = seq.index(min(seq))  # the canonical shift
+    shifted = shift(v, x)
+    admissible = x == 0
     payload = {
         "m": args.m,
         "norm": kind.value,
@@ -314,8 +315,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--m", type=int, required=True)
     p_oracle.add_argument("--r", type=int, required=True)
     p_oracle.add_argument("--norm", type=_parse_norm, required=True)
-    p_oracle.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max cosets to enumerate")
-    p_oracle.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p_oracle.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="max work units: cosets covered, or states x (shifts + coordinates)",
+    )
+    p_oracle.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="positive; the work is serial")
     p_oracle.add_argument("--format", **fmt)
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -242,10 +242,8 @@ def construct_max_lee(m: int, r: int) -> ModVec:
         return ModVec(1, [0] * r)
     if r >= 2 * m:
         residual = r % m + m
-        out = full_cycle(m)
-        for _ in range((r - residual) // m - 1):
-            out = concat(out, full_cycle(m))
-        return concat(out, construct_max_lee(m, residual))
+        cycles = full_cycle(m).coords * ((r - residual) // m)
+        return ModVec(m, cycles + construct_max_lee(m, residual).coords)
     if r % 2 == 0:
         return construct_even_dim(m, r)
     if m % 2 == 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator
 
 
@@ -40,16 +41,19 @@ class ModVec:
     Coordinates are reduced on construction, so two vectors compare equal
     iff they agree coordinatewise mod m.  The empty vector (r = 0) is
     legal with norm 0, and so is m = 1, where every coordinate is 0.
+    The modulus and coordinates must be integers (operator.index); a float
+    raises TypeError.
     """
 
     modulus: int
     coords: tuple[int, ...]
 
     def __init__(self, modulus: int, coords: Iterable[int] = ()):
+        modulus = index(modulus)
         if modulus < 1:
             raise ValueError(f"modulus must be positive, got {modulus}")
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "coords", tuple(c % modulus for c in coords))
+        object.__setattr__(self, "coords", tuple(index(c) % modulus for c in coords))
 
     @property
     def dim(self) -> int:

@@ -1,106 +1,105 @@
-"""Brute-force ground truth for the maximal admissible norm.
+"""Exhaustive ground truth for the maximal admissible norm.
 
-Shifting by the all-ones vector never changes a coset, so one
-representative per coset (first coordinate pinned to 0) suffices: the
-admissible norm of a coset is the minimum of the norm over its m shifts,
-and the answer is the maximum of those minima.  Enumeration is vectorised
-with exact integer numpy arrays in fixed-size chunks; chunk results are
-reduced in index order, so the outcome is identical for any worker count.
+The admissible norm of v (its minimum over the shifts v + x*e) depends
+only on the multiset of v's coordinates.  Every coset of the all-ones
+line holds a vector with a coordinate 0, so the C(m+r-2, r-1) states
+{0} + S (S a multiset of r-1 residues) cover all m^(r-1) cosets; the
+answer is the max over states of the min over shifts (see norm_steps).
+
+Witness: the lexicographically smallest sorted((s + x) mod m) over the
+maximal states s and their minimising shifts x, which is the smallest
+admissible vector of maximal norm: each such vector arranges a shifted
+state, and a multiset's sorted arrangement is its smallest.
+
+Budget: a run costs max(m^(r-1), C(m+r-2, r-1) * (m + r)) units (cosets
+covered; entries of the states x (shifts + coordinates) arrays), about 8
+bytes each, and is refused before allocating when over budget.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, combinations_with_replacement
+from math import comb
 
-import numpy as np
-
-from .admissible import is_admissible
-from .errors import BudgetError
+from .admissible import is_admissible, norm_sequence, norm_steps
+from .errors import EXACT_BITS, BudgetError
 from .modring import ModVec, NormKind, norm
 
 DEFAULT_BUDGET = 10**7
-_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Maximal admissible norm, a witness attaining it, and the coset count."""
+    """Maximal admissible norm, a witness attaining it, and the cosets covered."""
 
     max_norm: int
     witness: ModVec
     enumerated: int
 
 
-def _weights(m: int, kind: NormKind) -> np.ndarray:
-    c = np.arange(m, dtype=np.int64)
-    return c if kind is NormKind.ONE else np.minimum(c, m - c)
+def _check_budget(m: int, r: int, budget: int) -> int:
+    """The m^(r-1) cosets covered, once the run is known to fit the budget."""
+    bits = (r - 1) * (m.bit_length() - 1)  # m^(r-1) >= 2^bits
+    if bits > max(EXACT_BITS, budget.bit_length()):  # far over: skip m^(r-1); 2^bits prints as a bound
+        raise BudgetError(1 << min(bits, 1 << 24), budget, "oracle enumeration")  # bound kept under 2 MB
+    cosets = m ** (r - 1)
+    required = max(cosets, comb(m + r - 2, r - 1) * (m + r))
+    if required > budget:
+        raise BudgetError(required, budget, "oracle enumeration")
+    return cosets
 
 
-def _scan(m: int, r: int, wshift: np.ndarray, lo: int, hi: int) -> tuple[int, tuple[int, ...]]:
-    """Best (min-over-shift) norm in coset indices [lo, hi) and its witness.
-
-    The witness is the lexicographically smallest canonically shifted
-    vector among the representatives attaining the chunk maximum.
-    """
-    idx = np.arange(lo, hi, dtype=np.int64)
-    rows = np.zeros((idx.size, r), dtype=np.int64)
-    for j in range(r - 1):  # column 0 stays 0: coset representatives
-        rows[:, r - 1 - j] = (idx // m**j) % m
-    norms = np.empty((idx.size, m), dtype=np.int64)
-    for x in range(m):
-        norms[:, x] = wshift[x][rows].sum(axis=1)
-    mins = norms.min(axis=1)
-    best = int(mins.max())
-    witness: tuple[int, ...] | None = None
-    for i in np.flatnonzero(mins == best):
-        x0 = int(norms[i].argmin())  # argmin takes the smallest shift on ties
-        w = tuple(int(c) for c in (rows[i] + x0) % m)
-        if witness is None or w < witness:
-            witness = w
-    assert witness is not None
-    return best, witness
+def _shift_norms(hist, kind: NormKind):
+    """Yield the norms of all states (columns of hist) at shifts 0, ..., m-1."""
+    m = len(hist)
+    rise, fall, drop = norm_steps(m, kind)
+    up, down = hist[:rise].sum(axis=0), hist[m - fall:].sum(axis=0)
+    norms = norm_sequence(ModVec(m, (0,)), kind) @ hist  # the weight of each residue
+    for x in range(m - 1):
+        yield norms
+        norms = norms + up - drop * down
+        up += hist[-x - 1] - hist[rise - x - 1]
+        down += hist[m - fall - x - 1] - hist[m - x - 1]
+    yield norms
 
 
 def brute_max_admissible(
-    m: int,
-    r: int,
-    kind: NormKind,
-    budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
+    m: int, r: int, kind: NormKind, budget: int = DEFAULT_BUDGET, threads: int = 1
 ) -> OracleResult:
     """Exhaustive maximum of the admissible norm over (Z/mZ)^r with a witness.
 
-    Enumerates the m^(r-1) cosets of the all-ones line; raises BudgetError
-    (carrying the required count) when that exceeds the budget.
+    Raises BudgetError over budget.  threads must be positive; the work is serial.
     """
     if m < 1 or r < 1:
         raise ValueError(f"m and r must be positive, got m={m}, r={r}")
-    total = m ** (r - 1)
-    if total > budget:
-        raise BudgetError(total, budget, "coset enumeration")
-    w = _weights(m, kind)
-    wshift = np.stack([w[(np.arange(m) + x) % m] for x in range(m)])
-    spans = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda s: _scan(m, r, wshift, *s), spans))
-    else:
-        chunks = [_scan(m, r, wshift, lo, hi) for lo, hi in spans]
-    best, witness = chunks[0]
-    for b, wit in chunks[1:]:
-        if b > best:
-            best, witness = b, wit
-        elif b == best and wit < witness:
-            witness = wit
-    result = ModVec(m, witness)
-    if not is_admissible(result, kind) or norm(result, kind) != best:
+    if threads < 1:
+        raise ValueError(f"threads must be positive, got {threads}")
+    cosets = _check_budget(m, r, budget)
+    import numpy as np
+    states = comb(m + r - 2, r - 1)
+    free = np.fromiter(chain.from_iterable(combinations_with_replacement(range(m), r - 1)), np.int64)
+    hist = np.bincount(free * states + np.repeat(np.arange(states), r - 1), minlength=m * states)
+    hist = hist.reshape(m, states)  # hist[c, s]: copies of residue c in state s
+    hist[0] += 1
+    mins = reduce(np.minimum, _shift_norms(hist, kind))
+    best = int(mins.max())
+    hist = hist[:, mins == best]
+    xs, ids = np.nonzero(np.array(list(_shift_norms(hist, kind))) == best)
+    left = r  # the smallest sorted arrangement holds the most 0s, then the most 1s, ...
+    for value in range(m):
+        counts = hist[(value - xs) % m, ids]
+        keep = counts == counts.max()
+        xs, ids, left = xs[keep], ids[keep], left - int(counts.max())
+        if left == 0:
+            break
+    witness = ModVec(m, np.repeat(np.arange(m), np.roll(hist[:, ids[0]], xs[0])))
+    if not is_admissible(witness, kind) or norm(witness, kind) != best:
         raise AssertionError("oracle witness failed its self-check")
-    return OracleResult(best, result, total)
+    return OracleResult(best, witness, cosets)
 
 
-def brute_covering_radius(
-    m: int, r: int, budget: int = DEFAULT_BUDGET, threads: int = 1
-) -> int:
+def brute_covering_radius(m: int, r: int, budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
     """Covering radius of the line (Z/mZ)e in the Lee metric, by brute force."""
     return brute_max_admissible(m, r, NormKind.LEE, budget, threads).max_norm

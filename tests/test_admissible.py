@@ -29,6 +29,23 @@ def test_norm_sequence_examples():
     assert norm_sequence(ModVec(2, (0, 0)), LEE) == [0, 2]
 
 
+def _shift_by_shift(v, kind):
+    """Reference norm sequence: one shifted vector per shift."""
+    return [norm(shift(v, x), kind) for x in range(v.modulus)]
+
+
+def test_norm_sequence_matches_shift_by_shift_reference():
+    rng = random.Random(6)
+    for _ in range(2000):
+        m = rng.randrange(1, 40)
+        v = random_vec(rng, m, rng.randrange(0, 12))
+        for kind in (ONE, LEE):
+            ref = _shift_by_shift(v, kind)
+            assert norm_sequence(v, kind) == ref, (v, kind)
+            assert is_admissible(v, kind) == (ref[0] == min(ref))
+            assert canonical_shift(v, kind)[0] == ref.index(min(ref))
+
+
 def test_is_admissible_examples():
     assert is_admissible(ModVec(3, (2, 1, 0)), ONE)
     assert not is_admissible(ModVec(3, (1, 1)), LEE)
@@ -100,6 +117,17 @@ def test_m_sequence_example():
     assert m_sequence(ModVec(4, (0, 2, 1))) == [3, 4, 3, 3]
     with pytest.raises(ValueError):
         m_sequence(ModVec(4, (1, 2, 1)))
+
+
+def test_m_sequence_matches_shift_by_shift_reference():
+    rng = random.Random(5)
+    for _ in range(300):
+        m = 2 * rng.randrange(1, 11)
+        r = 2 * rng.randrange(0, 5) + 1
+        v = random_balanced(rng, m, r)
+        half, c = m // 2, v.coords
+        shifts = [0] + [half - c[r - i] if i % 2 == 1 else m - c[r - i] for i in range(1, r + 1)]
+        assert m_sequence(v) == [norm(shift(v, x), LEE) for x in shifts]
 
 
 def test_m_sequence_diffs_match_coordinate_gaps():

@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from leewaring import ffwaring
+from leewaring import admissible, cli, ffwaring
 from leewaring.cli import main
 
 
@@ -98,6 +101,19 @@ def test_oracle_budget_exceeded(capsys):
     assert str(7**8) in err
 
 
+def test_oracle_rejects_nonpositive_threads(capsys):
+    code, out, err = run_cli(capsys, "oracle", "--m", "3", "--r", "3", "--norm", "lee", "--threads", "0")
+    assert code == 2 and out == ""
+    assert "threads must be positive" in err
+
+
+def test_oracle_budget_exceeded_by_astronomical_count(capsys):
+    # 3^9999 has 4771 digits, past Python's limit for printing an int
+    code, out, err = run_cli(capsys, "oracle", "--m", "3", "--r", "10000", "--norm", "lee")
+    assert code == 2 and out == ""
+    assert err.startswith("budget exceeded: ") and "at least 2^9999," in err
+
+
 def test_oracle_json(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--m", "4", "--r", "3", "--norm", "lee", "--format", "json")
     assert code == 0
@@ -163,3 +179,32 @@ def test_waring_budget_checked_before_building_field(capsys, monkeypatch):
         code, _, err = run_cli(capsys, "waring", thm, "--p", "3", "--r", "29")
         assert code == 2
         assert "budget exceeded" in err and str(3**28) in err
+
+
+def test_waring_budget_exceeded_by_astronomical_field(capsys):
+    code, out, err = run_cli(capsys, "waring", "generic", "--p", "3", "--n", "10000", "--k", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("budget exceeded: field size needs at least 2^15849,")
+
+
+def test_check_computes_the_norm_sequence_once(capsys, monkeypatch):
+    real, calls = admissible.norm_sequence, []
+
+    def counted(v, kind):
+        calls.append(v)
+        return real(v, kind)
+
+    monkeypatch.setattr(admissible, "norm_sequence", counted)
+    monkeypatch.setattr(cli, "norm_sequence", counted)
+    code, out, _ = run_cli(capsys, "check", "--m", "4", "--vec", "1,2,3", "--norm", "lee")
+    assert code == 3 and len(calls) == 1
+    assert "canonical shift: 2 -> 3,0,1" in out and "norm sequence: 4,3,2,3" in out
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = "import sys, leewaring.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -49,6 +49,15 @@ def test_modvec_canonicalises_coordinates():
         ModVec(0, (1,))
 
 
+def test_modvec_rejects_non_integers():
+    with pytest.raises(TypeError):
+        ModVec(5, [1.5])
+    with pytest.raises(TypeError):
+        ModVec(5.0, [1])
+    v = ModVec(5, [True, 7])  # anything operator.index accepts is an integer
+    assert v.coords == (1, 2) and all(type(c) is int for c in v.coords)
+
+
 def test_modvec_modulus_one_is_all_zero():
     assert ModVec(1, (5, 7, 9)).coords == (0, 0, 0)
     assert norm(ModVec(1, (5,)), LEE) == 0
