@@ -4,6 +4,13 @@ Subcommands: bounds (tables), construct (extremal vectors with a
 self-check certificate), check (admissibility of a given vector), oracle
 (brute force vs formula), waring (thm1 / thm2 / remarks / generic).
 
+Each subcommand computes its rows (plain dicts), its text lines and its
+exit code; one renderer (_emit) prints them as text, csv or json.  csv
+and text stream, so `bounds` prints its table row by row in constant
+memory; json collects the rows first.  Errors are reported in main alone:
+"budget exceeded" for a BudgetError, "hypothesis failure" (waring) or
+"error" (the rest) for any other ValueError.
+
 Exit codes: 0 success or match, 1 verified mismatch (a falsified formula
 or failed self-check; never expected), 2 usage, budget or hypothesis
 error, 3 vector not admissible in `check`, 4 Waring number undefined.
@@ -13,10 +20,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
+from itertools import chain
 from math import gcd
 
 from . import bounds as bnd
@@ -76,43 +83,46 @@ def _vec_str(v: ModVec) -> str:
     return ",".join(str(c) for c in v.coords)
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+def _emit(fmt: str, rows, lines, header=None, many: bool = False) -> None:
+    """Print a command's rows (dicts) as json or csv, or its text lines.
 
-
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=False))
+    json dumps the one row, or the list when many is set; csv writes the
+    header (the first row's keys unless given) and one line per row, with
+    list values joined by spaces.  rows and lines may be lazy: csv and text
+    write as they go, json collects.
+    """
+    if fmt == "json":
+        rows = list(rows)
+        print(json.dumps(rows if many else rows[0], indent=2))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        for i, row in enumerate(rows):
+            if i == 0:
+                writer.writerow(header or row.keys())
+            writer.writerow(
+                " ".join(map(str, val)) if isinstance(val, list) else val for val in row.values()
+            )
+    else:
+        for line in lines:
+            print(line)
 
 
 def cmd_bounds(args) -> int:
-    rows = []
-    for m in args.m:
-        for r in args.r:
-            rows.append(
-                {
-                    "m": m,
-                    "r": r,
-                    "g": bnd.g_bound(m, r),
-                    "h": bnd.h_bound(m, r),
-                    "case": bnd.bound_case(m, r).value,
-                    "rho": bnd.covering_radius(m, r),
-                }
-            )
-    if args.format == "csv":
-        _emit_csv(["m", "r", "g", "h", "case", "rho"], [list(row.values()) for row in rows])
-    elif args.format == "json":
-        _emit_json(rows)
-    else:
-        print(f"{'m':>4} {'r':>4} {'g':>8} {'h':>8} {'case':>14} {'rho':>8}")
-        for row in rows:
-            print(
-                f"{row['m']:>4} {row['r']:>4} {row['g']:>8} {row['h']:>8} "
-                f"{row['case']:>14} {row['rho']:>8}"
-            )
+    rows = (
+        {
+            "m": m,
+            "r": r,
+            "g": bnd.g_bound(m, r),
+            "h": bnd.h_bound(m, r),
+            "case": bnd.bound_case(m, r).value,
+            "rho": bnd.covering_radius(m, r),
+        }
+        for m in args.m
+        for r in args.r
+    )
+    line = "{:>4} {:>4} {:>8} {:>8} {:>14} {:>8}".format  # lines reads rows; one of them is printed
+    lines = chain([line("m", "r", "g", "h", "case", "rho")], (line(*row.values()) for row in rows))
+    _emit(args.format, rows, lines, many=True)
     return EXIT_OK
 
 
@@ -126,7 +136,7 @@ def cmd_construct(args) -> int:
         target = bnd.h_bound(m, r)
     value = norm(v, kind)
     ok = value == target and is_admissible(v, kind)
-    payload = {
+    row = {
         "m": m,
         "r": r,
         "norm": kind.value,
@@ -135,21 +145,9 @@ def cmd_construct(args) -> int:
         "bound": target,
         "admissible": ok,
     }
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        _emit_csv(
-            ["m", "r", "norm", "vector", "value", "bound", "admissible"],
-            [[m, r, kind.value, " ".join(map(str, v.coords)), value, target, ok]],
-        )
-    else:
-        print(f"m: {m}")
-        print(f"r: {r}")
-        print(f"norm: {kind.value}")
-        print(f"vector: {_vec_str(v)}")
-        print(f"value: {value}")
-        print(f"bound: {target}")
-        print(f"admissible: {'true' if ok else 'false'}")
+    # text: "key: value" per field, the vector comma-joined, booleans lowercase
+    lines = [f"{k}: {_vec_str(v) if k == 'vector' else str(val).lower()}" for k, val in row.items()]
+    _emit(args.format, [row], lines)
     if not ok:
         print("self-check failed: constructed vector misses its bound", file=sys.stderr)
         return EXIT_MISMATCH
@@ -164,7 +162,7 @@ def cmd_check(args) -> int:
     x = seq.index(min(seq))  # the canonical shift
     shifted = shift(v, x)
     admissible = x == 0
-    payload = {
+    row = {
         "m": args.m,
         "norm": kind.value,
         "vector": list(v.coords),
@@ -174,35 +172,24 @@ def cmd_check(args) -> int:
         "shifted": list(shifted.coords),
         "norm_sequence": seq,
     }
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        _emit_csv(
-            ["m", "norm", "vector", "value", "admissible", "shift", "shifted", "norm_sequence"],
-            [[
-                args.m, kind.value, " ".join(map(str, v.coords)), value, admissible,
-                x, " ".join(map(str, shifted.coords)), " ".join(map(str, seq)),
-            ]],
-        )
-    else:
-        print(f"vector: {_vec_str(v)}")
-        print(f"norm: {value}")
-        print(f"admissible: {'true' if admissible else 'false'}")
-        print(f"canonical shift: {x} -> {_vec_str(shifted)}")
-        print(f"norm sequence: {','.join(map(str, seq))}")
+    lines = [
+        f"vector: {_vec_str(v)}",
+        f"norm: {value}",
+        f"admissible: {'true' if admissible else 'false'}",
+        f"canonical shift: {x} -> {_vec_str(shifted)}",
+        f"norm sequence: {','.join(map(str, seq))}",
+    ]
+    header = ["m", "norm", "vector", "value", "admissible", "shift", "shifted", "norm_sequence"]
+    _emit(args.format, [row], lines, header)
     return EXIT_OK if admissible else EXIT_NOT_ADMISSIBLE
 
 
 def cmd_oracle(args) -> int:
     kind = args.norm
-    try:
-        result = brute_max_admissible(args.m, args.r, kind, args.budget, args.threads)
-    except BudgetError as err:
-        print(f"budget exceeded: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    result = brute_max_admissible(args.m, args.r, kind, args.budget, args.threads)
     formula = bnd.g_bound(args.m, args.r) if kind is NormKind.ONE else bnd.h_bound(args.m, args.r)
     match = result.max_norm == formula
-    payload = {
+    row = {
         "m": args.m,
         "r": args.r,
         "norm": kind.value,
@@ -212,74 +199,45 @@ def cmd_oracle(args) -> int:
         "enumerated": result.enumerated,
         "match": match,
     }
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        _emit_csv(
-            ["m", "r", "norm", "oracle_max", "formula", "witness", "enumerated", "match"],
-            [[
-                args.m, args.r, kind.value, result.max_norm, formula,
-                " ".join(map(str, result.witness.coords)), result.enumerated, match,
-            ]],
-        )
-    else:
-        verdict = "MATCH" if match else "MISMATCH"
-        print(f"oracle max: {result.max_norm}")
-        print(f"formula: {formula}")
-        print(f"witness: {_vec_str(result.witness)}")
-        print(f"enumerated: {result.enumerated}")
-        print(verdict)
+    lines = [
+        f"oracle max: {result.max_norm}",
+        f"formula: {formula}",
+        f"witness: {_vec_str(result.witness)}",
+        f"enumerated: {result.enumerated}",
+        "MATCH" if match else "MISMATCH",
+    ]
+    _emit(args.format, [row], lines)
     return EXIT_OK if match else EXIT_MISMATCH
 
 
-def _render_reports(reports: list[WaringReport], fmt: str) -> None:
-    if fmt == "json":
-        payload = [rep.to_dict() for rep in reports]
-        _emit_json(payload if len(payload) != 1 else payload[0])
-        return
-    if fmt == "csv":
-        header = ["label", "p", "n", "q", "r", "k", "k_reduced", "computed_g", "formula_g", "match"]
-        rows = [[rep.to_dict()[col] for col in header] for rep in reports]
-        _emit_csv(header, rows)
-        return
-    for rep in reports:
-        computed = "NONE" if rep.computed_g is None else rep.computed_g
-        line = f"{rep.label or 'g(k, q)'}: p={rep.p} q={rep.q} k={rep.k} (gcd {rep.k_reduced}) computed={computed}"
-        if rep.formula_g is not None:
-            line += f" formula={rep.formula_g} {'MATCH' if rep.match else 'MISMATCH'}"
-        print(line)
+def _report_line(rep: WaringReport) -> str:
+    computed = "NONE" if rep.computed_g is None else rep.computed_g
+    line = f"{rep.label or 'g(k, q)'}: p={rep.p} q={rep.q} k={rep.k} (gcd {rep.k_reduced}) computed={computed}"
+    if rep.formula_g is not None:
+        line += f" formula={rep.formula_g} {'MATCH' if rep.match else 'MISMATCH'}"
+    return line
 
 
-def _reports_exit(reports: list[WaringReport]) -> int:
+def cmd_waring(args) -> int:
+    if args.subcommand == "thm1":
+        reports = [verify_theorem1(args.p, args.r, args.budget)]
+    elif args.subcommand == "thm2":
+        reports = [verify_theorem2(args.p, args.r, args.budget)]
+    elif args.subcommand == "remarks":
+        reports = verify_remarks(args.p, args.budget)
+    else:  # generic
+        f = FqField(args.p, find_irreducible(args.p, args.n, args.budget))
+        computed = waring_number(f, args.k, args.budget)
+        reports = [
+            WaringReport(args.p, args.n, args.k, gcd(args.k, f.q - 1), computed, label="g(k, q)")
+        ]
+    rows = [rep.to_dict() for rep in reports]
+    _emit(args.format, rows, map(_report_line, reports), many=len(rows) != 1)
     if any(rep.computed_g is None for rep in reports):
         return EXIT_UNDEFINED
     if any(rep.match is False for rep in reports):
         return EXIT_MISMATCH
     return EXIT_OK
-
-
-def cmd_waring(args) -> int:
-    try:
-        if args.subcommand == "thm1":
-            reports = [verify_theorem1(args.p, args.r, args.budget)]
-        elif args.subcommand == "thm2":
-            reports = [verify_theorem2(args.p, args.r, args.budget)]
-        elif args.subcommand == "remarks":
-            reports = verify_remarks(args.p, args.budget)
-        else:  # generic
-            f = FqField(args.p, find_irreducible(args.p, args.n, args.budget))
-            computed = waring_number(f, args.k, args.budget)
-            reports = [
-                WaringReport(args.p, args.n, args.k, gcd(args.k, f.q - 1), computed, label="g(k, q)")
-            ]
-    except BudgetError as err:
-        print(f"budget exceeded: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as err:
-        print(f"hypothesis failure: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    _render_reports(reports, args.format)
-    return _reports_exit(reports)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -347,10 +305,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BudgetError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as err:  # a theorem's hypothesis, for waring; bad input otherwise
+        print(f"{'hypothesis failure' if args.command == 'waring' else 'error'}: {err}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def run() -> None:

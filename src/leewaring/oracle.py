@@ -76,6 +76,8 @@ def brute_max_admissible(
         raise ValueError(f"m and r must be positive, got m={m}, r={r}")
     if threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
+    if r == 1:  # one coordinate: every coset holds (0,), of norm 0
+        return OracleResult(0, ModVec(m, (0,)), 1)
     cosets = _check_budget(m, r, budget)
     import numpy as np
     states = comb(m + r - 2, r - 1)

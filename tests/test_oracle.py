@@ -8,12 +8,14 @@ from leewaring import (
     BudgetError,
     ModVec,
     NormKind,
+    OracleResult,
     brute_covering_radius,
     brute_max_admissible,
     g_bound,
     h_bound,
     is_admissible,
     norm,
+    oracle,
 )
 
 ONE, LEE = NormKind.ONE, NormKind.LEE
@@ -86,6 +88,16 @@ def test_single_coordinate_and_unit_modulus():
         assert (res.max_norm, res.witness.coords, res.enumerated) == (0, (0,), 1)
         res = brute_max_admissible(1, 1000, kind)
         assert (res.max_norm, res.witness.coords, res.enumerated) == (0, (0,) * 1000, 1)
+
+
+def test_single_coordinate_answers_without_enumerating(monkeypatch):
+    # every coset of (Z/mZ)^1 holds (0,), so even m = 10^6 needs no shift norms
+    def refuse(hist, kind):
+        raise AssertionError("r = 1 must not step shift norms")
+
+    monkeypatch.setattr(oracle, "_shift_norms", refuse)
+    for kind in (ONE, LEE):
+        assert brute_max_admissible(10**6, 1, kind) == OracleResult(0, ModVec(10**6, (0,)), 1)
 
 
 CRITERION_1_GRID = [(m, r) for m in range(1, 9) for r in range(1, 8) if m ** (r - 1) <= 2 * 10**6]
