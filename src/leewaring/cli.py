@@ -5,9 +5,9 @@ self-check certificate), check (admissibility of a given vector), oracle
 (brute force vs formula), waring (thm1 / thm2 / remarks / generic).
 
 Each subcommand computes its rows (plain dicts), its text lines and its
-exit code; one renderer (_emit) prints them as text, csv or json.  csv
-and text stream, so `bounds` prints its table row by row in constant
-memory; json collects the rows first.  Errors are reported in main alone:
+exit code; one renderer (_emit) prints them as text, csv or json.  Every
+format streams, so `bounds` prints its table as the rows arrive, in
+constant memory.  Errors are reported in main alone:
 "budget exceeded" for a BudgetError, "hypothesis failure" (waring) or
 "error" (the rest) for any other ValueError.
 
@@ -23,7 +23,7 @@ import csv
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 from math import gcd
 
 from . import bounds as bnd
@@ -88,12 +88,19 @@ def _emit(fmt: str, rows, lines, header=None, many: bool = False) -> None:
 
     json dumps the one row, or the list when many is set; csv writes the
     header (the first row's keys unless given) and one line per row, with
-    list values joined by spaces.  rows and lines may be lazy: csv and text
-    write as they go, json collects.
+    list values joined by spaces.  rows and lines may be lazy, and every
+    format writes as it goes: a json list is printed a batch of rows at a
+    time, with the bytes of json.dumps(list(rows), indent=2).
     """
-    if fmt == "json":
-        rows = list(rows)
-        print(json.dumps(rows if many else rows[0], indent=2))
+    if fmt == "json" and not many:
+        print(json.dumps(next(iter(rows)), indent=2))
+    elif fmt == "json":
+        # A batch's dump less its brackets is its stretch of the whole dump.
+        rows, opening = iter(rows), "["
+        while batch := list(islice(rows, 1024)):
+            print(opening + json.dumps(batch, indent=2)[1:-2], end="")
+            opening = ","
+        print("[]" if opening == "[" else "\n]")
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         for i, row in enumerate(rows):

@@ -14,13 +14,15 @@ d = (q-1)/gcd(k, q-1), listed as the powers of one element of order d.
 The sumset BFS works on element ranks (the base-p number whose digits
 are the coefficients): adding a power adds its digits mod p to the
 digits of a whole frontier at once, and the result is a numpy level
-array indexed by rank.
+array indexed by rank.  Each FqField holds the level arrays it has
+computed, one per reduced exponent, so a table lives exactly as long as
+its field and repeated reads cost a dict lookup.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import product
 from math import gcd
 
 from .errors import BudgetError
@@ -107,12 +109,17 @@ class FqField:
     """F_{p^n} as Z/pZ[x] modulo a monic irreducible (constant-first coeffs).
 
     cyclotomic_order is set to r when the modulus is 1 + x + ... + x^{r-1},
-    in which case gen() is a primitive r-th root of unity.
+    in which case gen() is a primitive r-th root of unity.  The size q,
+    the place values p^i of the rank digits and the level tables follow
+    from p and the modulus, so they take no part in eq, hash or repr.
     """
 
     p: int
     modulus: tuple[int, ...]
     cyclotomic_order: int | None = None
+    q: int = field(init=False, repr=False, compare=False)
+    _place: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _is_prime(self.p):
@@ -123,14 +130,14 @@ class FqField:
             raise ValueError("modulus must be monic of degree >= 1")
         if not _is_irreducible(reduced, self.p):
             raise ValueError(f"modulus {reduced} is reducible over Z/{self.p}Z")
+        n = len(reduced) - 1
+        object.__setattr__(self, "q", self.p**n)
+        object.__setattr__(self, "_place", tuple(self.p**i for i in range(n)))
+        object.__setattr__(self, "_tables", {})
 
     @property
     def n(self) -> int:
         return len(self.modulus) - 1
-
-    @property
-    def q(self) -> int:
-        return self.p**self.n
 
     def element(self, coeffs) -> FqElem:
         c = tuple(x % self.p for x in coeffs)
@@ -154,7 +161,8 @@ class FqField:
         """Element with coefficient digits of t in base p (constant first)."""
         if not 0 <= t < self.q:
             raise ValueError(f"rank {t} outside [0, {self.q})")
-        return FqElem(self, tuple((t // self.p**i) % self.p for i in range(self.n)))
+        p = self.p
+        return FqElem(self, tuple(t // v % p for v in self._place))
 
     def rank(self, a: FqElem) -> int:
         """Inverse of from_rank: the coefficients read as base-p digits."""
@@ -164,9 +172,9 @@ class FqField:
         return t
 
     def elements(self):
-        """All q elements, in rank order."""
-        for t in range(self.q):
-            yield self.from_rank(t)
+        """All q elements, in rank order (the digit tuples, constant first)."""
+        for digits in product(range(self.p), repeat=self.n):
+            yield FqElem(self, digits[::-1])
 
 
 @dataclass(frozen=True)
@@ -293,13 +301,13 @@ def _digits(ranks, p: int, n: int) -> list:
     return [(ranks // p**i % p).astype(dtype) for i in range(n)]
 
 
-@functools.lru_cache(maxsize=64)
 def _sumset_levels(f: FqField, k_red: int):
     """BFS levels of the sumset growth A_0 = {0}, A_{j+1} = A_j + powers.
 
     Returns (int32 level per rank, least g with A_g = F) with g None when
     the powers only generate a proper additive subgroup, and level -1 on
-    the ranks never reached.  The array is cached and read-only.
+    the ranks never reached.  The array is read-only; _field_levels keeps
+    it on the field.
 
     A level translates the longer of frontier and powers by each entry s
     of the shorter.  Digit i of u + s wraps exactly when digit i of u is
@@ -342,6 +350,14 @@ def _sumset_levels(f: FqField, k_red: int):
     return levels, (depth if seen == q else None)
 
 
+def _field_levels(f: FqField, k_red: int):
+    """_sumset_levels(f, k_red), computed once per field and kept on it."""
+    table = f._tables.get(k_red)
+    if table is None:
+        table = f._tables[k_red] = _sumset_levels(f, k_red)
+    return table
+
+
 def waring_number(f: FqField, k: int, budget: int = DEFAULT_FIELD_BUDGET) -> int | None:
     """Least g such that every element of F is a sum of g k-th powers.
 
@@ -351,7 +367,7 @@ def waring_number(f: FqField, k: int, budget: int = DEFAULT_FIELD_BUDGET) -> int
     if k < 1:
         raise ValueError(f"power must be positive, got {k}")
     _require_budget(f.q, budget)
-    return _sumset_levels(f, gcd(k, f.q - 1))[1]
+    return _field_levels(f, gcd(k, f.q - 1))[1]
 
 
 def per_element_length(f: FqField, k: int, a: FqElem, budget: int = DEFAULT_FIELD_BUDGET) -> int:
@@ -360,8 +376,9 @@ def per_element_length(f: FqField, k: int, a: FqElem, budget: int = DEFAULT_FIEL
         raise ValueError(f"power must be positive, got {k}")
     if a.field is not f and a.field != f:
         raise ValueError("element belongs to a different field")
-    _require_budget(f.q, budget)
-    levels, g = _sumset_levels(f, gcd(k, f.q - 1))
+    q = f.q
+    _require_budget(q, budget)
+    levels, g = _field_levels(f, gcd(k, q - 1))
     if g is None:
         raise ValueError("k-th powers do not span the field additively")
     return levels.item(f.rank(a))

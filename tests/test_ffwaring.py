@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from math import gcd
 
 import numpy as np
@@ -173,6 +175,51 @@ def test_per_element_length_rejects_foreign_elements():
         per_element_length(f81, 16, f625.gen())
     # an equal field built separately is the same field
     assert per_element_length(f81, 16, cyclotomic_field(3, 5).gen()) == 1
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        lambda: FqField(2, find_irreducible(2, 1)),
+        lambda: FqField(7, find_irreducible(7, 1)),
+        lambda: FqField(2, find_irreducible(2, 6)),
+        lambda: FqField(7, find_irreducible(7, 2)),
+        lambda: cyclotomic_field(3, 5),
+        lambda: cyclotomic_field(13, 5),
+    ],
+    ids=["F_2", "F_7", "F_2^6", "F_7^2", "F_3^4", "F_13^4"],
+)
+def test_elements_run_in_rank_order(field):
+    f = field()
+    p, n = f.p, f.n
+    assert f.q == p**n
+    elements = list(f.elements())
+    assert elements == [f.from_rank(t) for t in range(f.q)]
+    sample = range(f.q) if f.q <= 2401 else random.Random(17).sample(range(f.q), 400)
+    for t in sample:
+        assert elements[t].coeffs == tuple(t // p**i % p for i in range(n))
+        assert f.rank(f.from_rank(t)) == t
+    with pytest.raises(ValueError, match="outside"):
+        f.from_rank(f.q)
+
+
+def test_separately_built_fields_are_equal():
+    f, g = cyclotomic_field(3, 5), cyclotomic_field(3, 5)
+    assert waring_number(f, 16) == 4  # f holds a level table, g none
+    assert f is not g and f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert repr(f) == "FqField(p=3, modulus=(1, 1, 1, 1, 1), cyclotomic_order=5)"
+    assert f != FqField(3, (1, 1, 1, 1, 1))  # the same modulus, not flagged cyclotomic
+
+
+def test_level_tables_live_with_their_field():
+    # x^3 + 2x + 2: no other test builds this field, so a cache keyed by
+    # equal fields would have to hold this very object
+    f = FqField(3, (2, 2, 0, 1))
+    assert waring_number(f, 2) == 2
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("p,n", BFS_GRID)
