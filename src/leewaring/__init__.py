@@ -20,7 +20,6 @@ from .construct import (
     construct_max_norm1,
     construct_odd_modulus,
     full_cycle,
-    optimal_pair,
     plan_even_modulus,
     plan_even_vector,
     vector_from_m_diffs,
@@ -45,15 +44,12 @@ from .modring import (
     ModVec,
     NormKind,
     abs_least_residue,
-    all_ones,
     concat,
-    double_embed,
     halve,
-    least_residue,
     norm,
     shift,
 )
-from .oracle import OracleResult, brute_covering_radius, brute_max_admissible
+from .oracle import OracleResult, brute_max_admissible
 
 __version__ = "0.1.0"
 
@@ -70,10 +66,8 @@ __all__ = [
     "OracleResult",
     "WaringReport",
     "abs_least_residue",
-    "all_ones",
     "band_c",
     "bound_case",
-    "brute_covering_radius",
     "brute_max_admissible",
     "canonical_shift",
     "concat",
@@ -83,7 +77,6 @@ __all__ = [
     "construct_odd_modulus",
     "covering_radius",
     "cyclotomic_field",
-    "double_embed",
     "extremal_values",
     "find_irreducible",
     "full_cycle",
@@ -94,11 +87,9 @@ __all__ = [
     "is_balanced",
     "is_primitive_root",
     "kth_power_set",
-    "least_residue",
     "m_sequence",
     "norm",
     "norm_sequence",
-    "optimal_pair",
     "per_element_length",
     "plan_even_modulus",
     "plan_even_vector",

@@ -4,7 +4,8 @@ A vector is admissible when no shift by a multiple of the all-ones vector
 lowers its norm, i.e. its norm is minimal within its coset of the
 all-ones line.  The norm sequence of v lists ||v + x*e|| for all x; its
 strict local extrema (with plateaus, read cyclically) drive the balanced
-vector constructions.
+vector constructions.  shift_norms is the one kernel that computes norm
+sequences, here for a single vector and in the oracle for many at once.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .modring import ModVec, NormKind, norm, shift
+from .modring import ModVec, NormKind, shift
 
 
 def norm_steps(m: int, kind: NormKind) -> tuple[int, int, int]:
@@ -29,26 +30,37 @@ def norm_steps(m: int, kind: NormKind) -> tuple[int, int, int]:
     return m // 2, m // 2, 1
 
 
-def norm_sequence(v: ModVec, kind: NormKind) -> list[int]:
-    """All norms ||v + x*e|| for x = 0, ..., m-1, in O(m + r).
+def shift_norms(hist, kind: NormKind):
+    """Yield the norms at shifts x = 0, ..., m-1 of the vectors with residue histogram hist.
 
-    Each step x -> x+1 adds the number of coordinates in the rising window
-    of residues and subtracts drop times the number in the falling window
-    (see norm_steps); both windows slide down one residue per step, so the
-    counts are kept up to date from the coordinate histogram.
+    hist[c] counts the coordinates equal to c: an int for one vector, or a
+    numpy row with one entry per vector.  Each step x -> x+1 adds the number
+    of coordinates in the rising window of residues and subtracts drop times
+    the number in the falling window (see norm_steps); both windows slide
+    down one residue per step, so the counts are kept up to date from hist.
+    Every running sum starts at 0 * hist[0], so rows stay rows when a window
+    or the weight sum is empty (m = 1).
     """
-    m = v.modulus
-    hist = [0] * m
-    for c in v.coords:
-        hist[c] += 1
+    m = len(hist)
     rise, fall, drop = norm_steps(m, kind)
-    up, down = sum(hist[:rise]), sum(hist[m - fall:])
-    seq = [norm(v, kind)]
+    zero = 0 * hist[0]
+    up, down = sum(hist[:rise], zero), sum(hist[m - fall:], zero)
+    weights = range(m) if kind is NormKind.ONE else (min(c, m - c) for c in range(m))
+    norms = sum((w * h for w, h in zip(weights, hist)), zero)
     for x in range(m - 1):
-        seq.append(seq[-1] + up - drop * down)
+        yield norms
+        norms = norms + up - drop * down
         up += hist[-x - 1] - hist[rise - x - 1]
         down += hist[m - fall - x - 1] - hist[m - x - 1]
-    return seq
+    yield norms
+
+
+def norm_sequence(v: ModVec, kind: NormKind) -> list[int]:
+    """All norms ||v + x*e|| for x = 0, ..., m-1, in O(m + r) by shift_norms."""
+    hist = [0] * v.modulus
+    for c in v.coords:
+        hist[c] += 1
+    return list(shift_norms(hist, kind))
 
 
 def is_admissible(v: ModVec, kind: NormKind) -> bool:

@@ -83,8 +83,7 @@ def band_c(m: int, r: int) -> int:
 def covering_radius(m: int, r: int) -> int:
     """Largest Lee distance from any vector of (Z/mZ)^r to the line (Z/mZ)e.
 
-    Equals h_bound(m, r) for m > 2 and g_bound(m, r) for m = 2 (the two
-    coincide there); 0 for m = 1.
+    This is h_bound(m, r) for every m: at m = 2 it coincides with
+    g_bound(m, r), and at m = 1 both are 0.
     """
-    _check_dims(m, r)
-    return g_bound(m, r) if m == 2 else h_bound(m, r)
+    return h_bound(m, r)

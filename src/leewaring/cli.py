@@ -24,7 +24,6 @@ import json
 import os
 import sys
 from itertools import chain, islice
-from math import gcd
 
 from . import bounds as bnd
 from .admissible import is_admissible, norm_sequence
@@ -38,7 +37,7 @@ from .ffwaring import (
     verify_remarks,
     verify_theorem1,
     verify_theorem2,
-    waring_number,
+    waring_report,
 )
 from .modring import ModVec, NormKind, norm, shift
 from .oracle import DEFAULT_BUDGET, brute_max_admissible
@@ -219,7 +218,7 @@ def cmd_oracle(args) -> int:
 
 def _report_line(rep: WaringReport) -> str:
     computed = "NONE" if rep.computed_g is None else rep.computed_g
-    line = f"{rep.label or 'g(k, q)'}: p={rep.p} q={rep.q} k={rep.k} (gcd {rep.k_reduced}) computed={computed}"
+    line = f"{rep.label}: p={rep.p} q={rep.q} k={rep.k} (gcd {rep.k_reduced}) computed={computed}"
     if rep.formula_g is not None:
         line += f" formula={rep.formula_g} {'MATCH' if rep.match else 'MISMATCH'}"
     return line
@@ -234,10 +233,7 @@ def cmd_waring(args) -> int:
         reports = verify_remarks(args.p, args.budget)
     else:  # generic
         f = FqField(args.p, find_irreducible(args.p, args.n, args.budget))
-        computed = waring_number(f, args.k, args.budget)
-        reports = [
-            WaringReport(args.p, args.n, args.k, gcd(args.k, f.q - 1), computed, label="g(k, q)")
-        ]
+        reports = [waring_report(f, args.k, budget=args.budget)]
     rows = [rep.to_dict() for rep in reports]
     _emit(args.format, rows, map(_report_line, reports), many=len(rows) != 1)
     if any(rep.computed_g is None for rep in reports):

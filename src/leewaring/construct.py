@@ -34,20 +34,6 @@ def construct_max_norm1(m: int, r: int) -> ModVec:
     return ModVec(m, coords)
 
 
-def optimal_pair(m: int, y: int) -> ModVec:
-    """The pair (y, y + m/2) for even m, (y, y + (m-1)/2) for odd m.
-
-    Some shift of it is admissible of maximal Lee norm among pairs.  For
-    even m the pair itself is admissible of norm m/2 at every y; for odd
-    m it is admissible of norm (m-1)/2 exactly when y = 0 or
-    (m+1)/2 <= y <= m-1.
-    """
-    if m < 2:
-        raise ValueError(f"pairs need m >= 2, got {m}")
-    step = m // 2 if m % 2 == 0 else (m - 1) // 2
-    return ModVec(m, (y, y + step))
-
-
 def full_cycle(m: int) -> ModVec:
     """(0, 1, ..., m-1): shifts permute the coordinates, so it is admissible.
 

@@ -412,7 +412,7 @@ class WaringReport:
     computed_g: int | None
     formula_g: int | None = None
     r: int | None = None
-    label: str = ""
+    label: str = "g(k, q)"
 
     @property
     def q(self) -> int:
@@ -439,6 +439,18 @@ class WaringReport:
         }
 
 
+def waring_report(
+    f: FqField, k: int, formula: int | None = None, r: int | None = None,
+    label: str = "g(k, q)", budget: int = DEFAULT_FIELD_BUDGET,
+) -> WaringReport:
+    """waring_number(f, k) beside the closed form formula (None when none applies).
+
+    Every report is built here, with k_reduced = gcd(k, q-1).
+    """
+    computed = waring_number(f, k, budget)
+    return WaringReport(f.p, f.n, k, gcd(k, f.q - 1), computed, formula, r, label)
+
+
 def _budgeted_cyclotomic_field(p: int, r: int, budget: int) -> FqField:
     """cyclotomic_field(p, r), refused before it is built when q exceeds the budget.
 
@@ -456,13 +468,8 @@ def verify_theorem1(p: int, r: int, budget: int = DEFAULT_FIELD_BUDGET) -> Warin
     Needs p, r prime with p a primitive root modulo r.
     """
     f = _budgeted_cyclotomic_field(p, r, budget)
-    q = f.q
-    k = (q - 1) // r
-    computed = waring_number(f, k, budget)
-    formula = (p - 1) * (r - 1) // 2
-    return WaringReport(
-        p, f.n, k, gcd(k, q - 1), computed, formula, r=r, label="g((q-1)/r, q)"
-    )
+    k = (f.q - 1) // r
+    return waring_report(f, k, (p - 1) * (r - 1) // 2, r, "g((q-1)/r, q)", budget)
 
 
 def verify_theorem2(p: int, r: int, budget: int = DEFAULT_FIELD_BUDGET) -> WaringReport:
@@ -475,16 +482,12 @@ def verify_theorem2(p: int, r: int, budget: int = DEFAULT_FIELD_BUDGET) -> Warin
     if p == 2 or r == 2:
         raise ValueError("p and r must be odd primes")
     f = _budgeted_cyclotomic_field(p, r, budget)
-    q = f.q
-    k = (q - 1) // (2 * r)
-    computed = waring_number(f, k, budget)
+    k = (f.q - 1) // (2 * r)
     if r < p:
         formula = p * (r * r - 1) // (4 * r)
     else:
         formula = r * (p * p - 1) // (4 * p)
-    return WaringReport(
-        p, f.n, k, gcd(k, q - 1), computed, formula, r=r, label="g((q-1)/(2r), q)"
-    )
+    return waring_report(f, k, formula, r, "g((q-1)/(2r), q)", budget)
 
 
 def verify_remarks(p: int, budget: int = DEFAULT_FIELD_BUDGET) -> list[WaringReport]:
@@ -499,27 +502,12 @@ def verify_remarks(p: int, budget: int = DEFAULT_FIELD_BUDGET) -> list[WaringRep
         raise ValueError(f"{p} is not prime")
     prime_field = FqField(p, find_irreducible(p, 1, budget))
     k1 = p - 1 if p > 2 else 1
-    reports = [
-        WaringReport(
-            p, 1, k1, gcd(k1, p - 1), waring_number(prime_field, k1, budget),
-            p - 1, r=1, label="g(p-1, p)",
-        )
-    ]
+    reports = [waring_report(prime_field, k1, p - 1, 1, "g(p-1, p)", budget)]
     if p > 2:
         k2 = (p - 1) // 2
-        reports.append(
-            WaringReport(
-                p, 1, k2, gcd(k2, p - 1), waring_number(prime_field, k2, budget),
-                (p - 1) // 2, r=1, label="g((p-1)/2, p)",
-            )
-        )
+        reports.append(waring_report(prime_field, k2, (p - 1) // 2, 1, "g((p-1)/2, p)", budget))
     if p % 4 == 3:
         square_field = FqField(p, find_irreducible(p, 2, budget))
         k3 = (p * p - 1) // 4
-        reports.append(
-            WaringReport(
-                p, 2, k3, gcd(k3, p * p - 1), waring_number(square_field, k3, budget),
-                p - 1, r=2, label="g((p^2-1)/4, p^2)",
-            )
-        )
+        reports.append(waring_report(square_field, k3, p - 1, 2, "g((p^2-1)/4, p^2)", budget))
     return reports

@@ -21,16 +21,11 @@ class NormKind(enum.Enum):
     LEE = "lee"
 
 
-def least_residue(x: int, m: int) -> int:
-    """Canonical representative of x mod m, in {0, ..., m-1}."""
+def abs_least_residue(x: int, m: int) -> int:
+    """min(c, m - c) for the canonical residue c = x mod m: distance from x to 0."""
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
-    return x % m
-
-
-def abs_least_residue(x: int, m: int) -> int:
-    """min(c, m - c) for the canonical residue c: distance from x to 0."""
-    c = least_residue(x, m)
+    c = x % m
     return min(c, m - c)
 
 
@@ -69,13 +64,6 @@ class ModVec:
         return "(%s) mod %d" % (",".join(map(str, self.coords)), self.modulus)
 
 
-def all_ones(m: int, r: int) -> ModVec:
-    """The vector e = (1, 1, ..., 1) of length r over Z/mZ."""
-    if r < 0:
-        raise ValueError(f"dimension must be nonnegative, got {r}")
-    return ModVec(m, (1,) * r)
-
-
 def norm(v: ModVec, kind: NormKind) -> int:
     """Sum of least residues (ONE) or of cycle distances (LEE)."""
     if kind is NormKind.ONE:
@@ -96,13 +84,8 @@ def concat(u: ModVec, v: ModVec) -> ModVec:
     return ModVec(u.modulus, u.coords + v.coords)
 
 
-def double_embed(v: ModVec) -> ModVec:
-    """Double every coordinate, Z/mZ -> Z/2mZ; the LEE norm doubles exactly."""
-    return ModVec(2 * v.modulus, (2 * c for c in v.coords))
-
-
 def halve(v: ModVec) -> ModVec:
-    """Inverse of double_embed on even vectors; the LEE norm halves exactly."""
+    """Halve every coordinate of an even vector, Z/2mZ -> Z/mZ; the LEE norm halves exactly."""
     if v.modulus % 2 != 0:
         raise ValueError(f"modulus must be even to halve, got {v.modulus}")
     if any(c % 2 for c in v.coords):

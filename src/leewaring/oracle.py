@@ -4,7 +4,10 @@ The admissible norm of v (its minimum over the shifts v + x*e) depends
 only on the multiset of v's coordinates.  Every coset of the all-ones
 line holds a vector with a coordinate 0, so the C(m+r-2, r-1) states
 {0} + S (S a multiset of r-1 residues) cover all m^(r-1) cosets; the
-answer is the max over states of the min over shifts (see norm_steps).
+answer is the max over states of the min over shifts.  Those norms come
+from admissible.shift_norms, the kernel behind every norm sequence, fed
+the states' residue histograms as numpy rows so that it steps them all
+at once.
 
 Witness: the lexicographically smallest sorted((s + x) mod m) over the
 maximal states s and their minimising shifts x, which is the smallest
@@ -23,7 +26,7 @@ from functools import reduce
 from itertools import chain, combinations_with_replacement
 from math import comb
 
-from .admissible import is_admissible, norm_sequence, norm_steps
+from .admissible import is_admissible, shift_norms
 from .errors import EXACT_BITS, BudgetError
 from .modring import ModVec, NormKind, norm
 
@@ -51,20 +54,6 @@ def _check_budget(m: int, r: int, budget: int) -> int:
     return cosets
 
 
-def _shift_norms(hist, kind: NormKind):
-    """Yield the norms of all states (columns of hist) at shifts 0, ..., m-1."""
-    m = len(hist)
-    rise, fall, drop = norm_steps(m, kind)
-    up, down = hist[:rise].sum(axis=0), hist[m - fall:].sum(axis=0)
-    norms = norm_sequence(ModVec(m, (0,)), kind) @ hist  # the weight of each residue
-    for x in range(m - 1):
-        yield norms
-        norms = norms + up - drop * down
-        up += hist[-x - 1] - hist[rise - x - 1]
-        down += hist[m - fall - x - 1] - hist[m - x - 1]
-    yield norms
-
-
 def brute_max_admissible(
     m: int, r: int, kind: NormKind, budget: int = DEFAULT_BUDGET, threads: int = 1
 ) -> OracleResult:
@@ -85,10 +74,10 @@ def brute_max_admissible(
     hist = np.bincount(free * states + np.repeat(np.arange(states), r - 1), minlength=m * states)
     hist = hist.reshape(m, states)  # hist[c, s]: copies of residue c in state s
     hist[0] += 1
-    mins = reduce(np.minimum, _shift_norms(hist, kind))
+    mins = reduce(np.minimum, shift_norms(hist, kind))
     best = int(mins.max())
     hist = hist[:, mins == best]
-    xs, ids = np.nonzero(np.array(list(_shift_norms(hist, kind))) == best)
+    xs, ids = np.nonzero(np.array(list(shift_norms(hist, kind))) == best)
     left = r  # the smallest sorted arrangement holds the most 0s, then the most 1s, ...
     for value in range(m):
         counts = hist[(value - xs) % m, ids]
@@ -100,8 +89,3 @@ def brute_max_admissible(
     if not is_admissible(witness, kind) or norm(witness, kind) != best:
         raise AssertionError("oracle witness failed its self-check")
     return OracleResult(best, witness, cosets)
-
-
-def brute_covering_radius(m: int, r: int, budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
-    """Covering radius of the line (Z/mZ)e in the Lee metric, by brute force."""
-    return brute_max_admissible(m, r, NormKind.LEE, budget, threads).max_norm

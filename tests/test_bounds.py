@@ -45,6 +45,10 @@ def test_band_c_rejects_bad_inputs(m, r):
 @pytest.mark.parametrize("m,r,want", [(2, 5, 2), (3, 3, 2), (2, 4, 2), (1, 9, 0)])
 def test_covering_radius_examples(m, r, want):
     assert covering_radius(m, r) == want
+    for a in range(1, 65):
+        assert covering_radius(2, a) == g_bound(2, a), a
+        for b in range(1, 65):
+            assert covering_radius(a, b) == h_bound(a, b), (a, b)
 
 
 def test_bound_case_covers_all_branches():

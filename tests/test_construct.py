@@ -19,7 +19,6 @@ from leewaring import (
     m_sequence,
     norm,
     norm_sequence,
-    optimal_pair,
     plan_even_modulus,
     plan_even_vector,
     vector_from_m_diffs,
@@ -41,29 +40,6 @@ def test_construct_max_norm1_examples():
 def test_construct_max_norm1_emits_descending_coordinates():
     v = construct_max_norm1(6, 9)
     assert list(v.coords) == sorted(v.coords, reverse=True)
-
-
-def test_optimal_pair_examples():
-    p = optimal_pair(4, 1)
-    assert p.coords == (1, 3) and norm(p, LEE) == 2 and is_admissible(p, LEE)
-    p = optimal_pair(5, 0)
-    assert p.coords == (0, 2) and norm(p, LEE) == 2 and is_admissible(p, LEE)
-    p = optimal_pair(5, 1)
-    assert p.coords == (1, 3) and not is_admissible(p, LEE)
-    with pytest.raises(ValueError):
-        optimal_pair(1, 0)
-
-
-def test_optimal_pair_properties():
-    for m in range(2, 16):
-        for y in range(m):
-            p = optimal_pair(m, y)
-            # some shift is admissible of maximal pair norm
-            assert min(norm_sequence(p, LEE)) == h_bound(m, 2)
-            if m % 2 == 0:
-                assert is_admissible(p, LEE) and norm(p, LEE) == m // 2
-            elif y == 0 or (m + 1) // 2 <= y <= m - 1:
-                assert is_admissible(p, LEE) and norm(p, LEE) == (m - 1) // 2
 
 
 def test_construct_even_dim_examples():

@@ -6,22 +6,14 @@ from leewaring import (
     ModVec,
     NormKind,
     abs_least_residue,
-    all_ones,
     concat,
-    double_embed,
     halve,
-    least_residue,
     norm,
     shift,
 )
 from vecgen import random_vec
 
 ONE, LEE = NormKind.ONE, NormKind.LEE
-
-
-@pytest.mark.parametrize("x,m,want", [(0, 5, 0), (7, 5, 2), (4, 5, 4), (-1, 5, 4)])
-def test_least_residue(x, m, want):
-    assert least_residue(x, m) == want
 
 
 @pytest.mark.parametrize("x,m,want", [(3, 5, 2), (0, 7, 0), (2, 4, 2)])
@@ -31,7 +23,7 @@ def test_abs_least_residue(x, m, want):
 
 def test_least_residue_rejects_bad_modulus():
     with pytest.raises(ValueError):
-        least_residue(1, 0)
+        abs_least_residue(1, 0)
 
 
 def test_norm_examples():
@@ -69,14 +61,6 @@ def test_shift_examples():
     assert shift(ModVec(5, (3, 3)), 0).coords == (3, 3)
 
 
-def test_all_ones():
-    e = all_ones(4, 3)
-    assert e.coords == (1, 1, 1)
-    assert shift(ModVec(4, (0, 2, 1)), 1).coords == tuple(
-        (a + b) % 4 for a, b in zip((0, 2, 1), e.coords)
-    )
-
-
 def test_concat_examples():
     assert concat(ModVec(4, (0, 2)), ModVec(4, (1, 3))).coords == (0, 2, 1, 3)
     assert concat(ModVec(5, (3,)), ModVec(5, ())).coords == (3,)
@@ -86,23 +70,13 @@ def test_concat_examples():
         concat(ModVec(4, (0,)), ModVec(5, (0,)))
 
 
-def test_double_embed_examples():
-    v = ModVec(3, (0, 1, 2))
-    w = double_embed(v)
-    assert w.modulus == 6 and w.coords == (0, 2, 4)
-    assert norm(v, LEE) == 2 and norm(w, LEE) == 4
-    empty = double_embed(ModVec(3, ()))
-    assert empty.modulus == 6 and empty.coords == ()
-
-
 def test_halve_examples():
     assert halve(ModVec(6, (0, 2, 4))) == ModVec(3, (0, 1, 2))
     with pytest.raises(ValueError, match="not an even vector"):
         halve(ModVec(6, (0, 1)))
     with pytest.raises(ValueError):
         halve(ModVec(5, (0, 2)))
-    v = ModVec(4, (3, 1))
-    assert halve(double_embed(v)) == v
+    assert halve(ModVec(8, (6, 2))) == ModVec(4, (3, 1))
 
 
 def test_shift_norm1_congruence():
@@ -165,5 +139,6 @@ def test_concat_additivity_and_scaling():
         v = random_vec(rng, m, rng.randrange(0, 6))
         for kind in (ONE, LEE):
             assert norm(concat(u, v), kind) == norm(u, kind) + norm(v, kind)
-        assert norm(double_embed(u), LEE) == 2 * norm(u, LEE)
-        assert halve(double_embed(u)) == u
+        doubled = ModVec(2 * m, [2 * c for c in u.coords])
+        assert norm(doubled, LEE) == 2 * norm(u, LEE)
+        assert halve(doubled) == u

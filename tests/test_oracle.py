@@ -9,7 +9,6 @@ from leewaring import (
     ModVec,
     NormKind,
     OracleResult,
-    brute_covering_radius,
     brute_max_admissible,
     g_bound,
     h_bound,
@@ -32,9 +31,10 @@ def test_examples():
 
 
 def test_covering_radius_examples():
-    assert brute_covering_radius(4, 2) == 2
-    assert brute_covering_radius(2, 5) == 2
-    assert brute_covering_radius(5, 3) == 3
+    # the Lee covering radius of the line (Z/mZ)e is the maximal admissible Lee norm
+    assert brute_max_admissible(4, 2, LEE).max_norm == 2
+    assert brute_max_admissible(2, 5, LEE).max_norm == 2
+    assert brute_max_admissible(5, 3, LEE).max_norm == 3
 
 
 def test_witness_is_admissible_and_attains_max():
@@ -95,7 +95,7 @@ def test_single_coordinate_answers_without_enumerating(monkeypatch):
     def refuse(hist, kind):
         raise AssertionError("r = 1 must not step shift norms")
 
-    monkeypatch.setattr(oracle, "_shift_norms", refuse)
+    monkeypatch.setattr(oracle, "shift_norms", refuse)
     for kind in (ONE, LEE):
         assert brute_max_admissible(10**6, 1, kind) == OracleResult(0, ModVec(10**6, (0,)), 1)
 

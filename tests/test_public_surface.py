@@ -1,0 +1,21 @@
+import pytest
+
+import leewaring
+from leewaring import construct, modring, oracle
+
+DELETED = ("optimal_pair", "double_embed", "least_residue", "all_ones", "brute_covering_radius")
+
+
+def test_all_is_sorted_and_resolves():
+    assert leewaring.__all__ == sorted(leewaring.__all__)
+    for name in leewaring.__all__:
+        assert hasattr(leewaring, name), name
+
+
+@pytest.mark.parametrize("name", DELETED)
+def test_deleted_names_are_gone(name):
+    assert name not in leewaring.__all__
+    with pytest.raises(ImportError):
+        exec(f"from leewaring import {name}", {})
+    for module in (construct, modring, oracle):
+        assert not hasattr(module, name), (module.__name__, name)
