@@ -48,6 +48,12 @@ EXIT_USAGE = 2
 EXIT_NOT_ADMISSIBLE = 3
 EXIT_UNDEFINED = 4
 
+# Each norm's extremal construction and the closed form of its maximum.
+_EXTREMAL = {
+    NormKind.ONE: (construct_max_norm1, bnd.g_bound),
+    NormKind.LEE: (construct_max_lee, bnd.h_bound),
+}
+
 
 def _parse_range(text: str) -> range:
     """'2..5' -> range(2, 6); a single number is a one-element range."""
@@ -134,12 +140,9 @@ def cmd_bounds(args) -> int:
 
 def cmd_construct(args) -> int:
     m, r, kind = args.m, args.r, args.norm
-    if kind is NormKind.ONE:
-        v = construct_max_norm1(m, r)
-        target = bnd.g_bound(m, r)
-    else:
-        v = construct_max_lee(m, r)
-        target = bnd.h_bound(m, r)
+    construct, closed_form = _EXTREMAL[kind]
+    v = construct(m, r)
+    target = closed_form(m, r)
     value = norm(v, kind)
     ok = value == target and is_admissible(v, kind)
     row = {
@@ -193,7 +196,7 @@ def cmd_check(args) -> int:
 def cmd_oracle(args) -> int:
     kind = args.norm
     result = brute_max_admissible(args.m, args.r, kind, args.budget, args.threads)
-    formula = bnd.g_bound(args.m, args.r) if kind is NormKind.ONE else bnd.h_bound(args.m, args.r)
+    formula = _EXTREMAL[kind][1](args.m, args.r)
     match = result.max_norm == formula
     row = {
         "m": args.m,

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and the one budget pre-check."""
 
 from __future__ import annotations
 
@@ -27,3 +27,17 @@ class BudgetError(ValueError):
         )
         self.required = required
         self.budget = budget
+
+
+def budgeted_power(base: int, exp: int, budget: int, what: str) -> int:
+    """base**exp for a budget check, refused before it is built when far over.
+
+    base**exp is at least 2^bits with bits = exp * (bit length of base - 1).
+    Past both EXACT_BITS and the budget's bit length the power is never
+    built: the BudgetError carries 2^bits (capped at 2^(2^24), under 2 MB).
+    Otherwise the power is returned, for the caller to compare with budget.
+    """
+    bits = exp * (base.bit_length() - 1)
+    if bits > max(EXACT_BITS, budget.bit_length()):
+        raise BudgetError(1 << min(bits, 1 << 24), budget, what)
+    return base**exp

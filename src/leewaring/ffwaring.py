@@ -17,31 +17,27 @@ digits of a whole frontier at once, and the result is a numpy level
 array indexed by rank.  Each FqField holds the level arrays it has
 computed, one per reduced exponent, so a table lives exactly as long as
 its field and repeated reads cost a dict lookup.
+
+For q = p^(r-1) the reduction to residue vectors makes the theorems' Waring
+numbers the coset maxima of bounds: g((q-1)/r, q) = g_bound(p, r) and
+g((q-1)/(2r), q) = h_bound(p, r), which verify_theorem1/2 check by BFS.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
-from .errors import BudgetError
+from .bounds import g_bound, h_bound
+from .errors import BudgetError, budgeted_power
 from .modring import ModVec
 
 DEFAULT_FIELD_BUDGET = 2 * 10**6
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
 def _require_budget(q: int, budget: int) -> None:
@@ -72,17 +68,18 @@ def _poly_rem(num: tuple[int, ...], den: tuple[int, ...], p: int) -> tuple[int, 
     return tuple(out[:dn])
 
 
+def _monic(p: int, d: int):
+    """Monic degree-d polynomials over Z/pZ (constant first), in elements()' rank order."""
+    for digits in product(range(p), repeat=d):
+        yield digits[::-1] + (1,)
+
+
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     """Trial division by every monic polynomial of degree 1..deg/2."""
     n = len(poly) - 1
     if n < 1 or poly[-1] != 1:
         return False
-    for d in range(1, n // 2 + 1):
-        for enc in range(p**d):
-            den = tuple((enc // p**i) % p for i in range(d)) + (1,)
-            if not any(_poly_rem(poly, den, p)):
-                return False
-    return True
+    return all(any(_poly_rem(poly, den, p)) for d in range(1, n // 2 + 1) for den in _monic(p, d))
 
 
 def find_irreducible(p: int, n: int, budget: int = DEFAULT_FIELD_BUDGET) -> tuple[int, ...]:
@@ -96,12 +93,8 @@ def find_irreducible(p: int, n: int, budget: int = DEFAULT_FIELD_BUDGET) -> tupl
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
-    _require_budget(p**n, budget)
-    for enc in range(p**n):
-        poly = tuple((enc // p**i) % p for i in range(n)) + (1,)
-        if _is_irreducible(poly, p):
-            return poly
-    raise RuntimeError(f"no irreducible of degree {n} over Z/{p}Z")  # unreachable
+    _require_budget(budgeted_power(p, n, budget, "field size"), budget)
+    return next(poly for poly in _monic(p, n) if _is_irreducible(poly, p))
 
 
 @dataclass(frozen=True)
@@ -400,43 +393,24 @@ def to_coset_vector(a: FqElem) -> ModVec:
 class WaringReport:
     """One exact Waring computation next to the closed form predicting it.
 
-    formula_g is None for generic runs with no applicable closed form, in
-    which case match is None as well; computed_g is None when the k-th
-    powers do not additively span the field.
+    The fields are in output order.  formula_g is None for generic runs with
+    no applicable closed form, in which case match is None as well;
+    computed_g is None when the k-th powers do not additively span the field.
     """
 
+    label: str
     p: int
     n: int
+    q: int
+    r: int | None
     k: int
     k_reduced: int
     computed_g: int | None
-    formula_g: int | None = None
-    r: int | None = None
-    label: str = "g(k, q)"
-
-    @property
-    def q(self) -> int:
-        return self.p**self.n
-
-    @property
-    def match(self) -> bool | None:
-        if self.formula_g is None:
-            return None
-        return self.computed_g == self.formula_g
+    formula_g: int | None
+    match: bool | None
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "p": self.p,
-            "n": self.n,
-            "q": self.q,
-            "r": self.r,
-            "k": self.k,
-            "k_reduced": self.k_reduced,
-            "computed_g": self.computed_g,
-            "formula_g": self.formula_g,
-            "match": self.match,
-        }
+        return asdict(self)
 
 
 def waring_report(
@@ -448,7 +422,8 @@ def waring_report(
     Every report is built here, with k_reduced = gcd(k, q-1).
     """
     computed = waring_number(f, k, budget)
-    return WaringReport(f.p, f.n, k, gcd(k, f.q - 1), computed, formula, r, label)
+    match = None if formula is None else computed == formula
+    return WaringReport(label, f.p, f.n, f.q, r, k, gcd(k, f.q - 1), computed, formula, match)
 
 
 def _budgeted_cyclotomic_field(p: int, r: int, budget: int) -> FqField:
@@ -458,36 +433,33 @@ def _budgeted_cyclotomic_field(p: int, r: int, budget: int) -> FqField:
     with q, so the hypothesis is checked first and the budget next.
     """
     _require_primitive_root(p, r)
-    _require_budget(p ** (r - 1), budget)
+    _require_budget(budgeted_power(p, r - 1, budget, "field size"), budget)
     return cyclotomic_field(p, r)
 
 
 def verify_theorem1(p: int, r: int, budget: int = DEFAULT_FIELD_BUDGET) -> WaringReport:
-    """Check g((q-1)/r, q) = (p-1)(r-1)/2 for q = p^(r-1) by sumset BFS.
+    """Check g((q-1)/r, q) = g_bound(p, r) for q = p^(r-1) by sumset BFS.
 
-    Needs p, r prime with p a primitive root modulo r.
+    Needs p, r prime with p a primitive root modulo r.  Then gcd(p, r) = 1
+    and the closed form is (p-1)(r-1)/2.
     """
     f = _budgeted_cyclotomic_field(p, r, budget)
     k = (f.q - 1) // r
-    return waring_report(f, k, (p - 1) * (r - 1) // 2, r, "g((q-1)/r, q)", budget)
+    return waring_report(f, k, g_bound(p, r), r, "g((q-1)/r, q)", budget)
 
 
 def verify_theorem2(p: int, r: int, budget: int = DEFAULT_FIELD_BUDGET) -> WaringReport:
-    """Check g((q-1)/(2r), q) against its floor formula for q = p^(r-1).
+    """Check g((q-1)/(2r), q) = h_bound(p, r) for q = p^(r-1) by sumset BFS.
 
-    Needs p, r odd primes with p a primitive root modulo r; the predicted
-    value is floor(pr/4 - p/(4r)) when r < p and floor(pr/4 - r/(4p))
-    otherwise, evaluated in exact integer arithmetic.
+    Needs p, r odd primes with p a primitive root modulo r.  For such
+    distinct odd p, r the closed form is floor(pr/4 - p/(4r)) when r < p
+    (h's ODD_R_LE case) and floor(pr/4 - r/(4p)) otherwise (ODD_RGT).
     """
     if p == 2 or r == 2:
         raise ValueError("p and r must be odd primes")
     f = _budgeted_cyclotomic_field(p, r, budget)
     k = (f.q - 1) // (2 * r)
-    if r < p:
-        formula = p * (r * r - 1) // (4 * r)
-    else:
-        formula = r * (p * p - 1) // (4 * p)
-    return waring_report(f, k, formula, r, "g((q-1)/(2r), q)", budget)
+    return waring_report(f, k, h_bound(p, r), r, "g((q-1)/(2r), q)", budget)
 
 
 def verify_remarks(p: int, budget: int = DEFAULT_FIELD_BUDGET) -> list[WaringReport]:

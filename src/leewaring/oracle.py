@@ -27,7 +27,7 @@ from itertools import chain, combinations_with_replacement
 from math import comb
 
 from .admissible import is_admissible, shift_norms
-from .errors import EXACT_BITS, BudgetError
+from .errors import BudgetError, budgeted_power
 from .modring import ModVec, NormKind, norm
 
 DEFAULT_BUDGET = 10**7
@@ -44,10 +44,7 @@ class OracleResult:
 
 def _check_budget(m: int, r: int, budget: int) -> int:
     """The m^(r-1) cosets covered, once the run is known to fit the budget."""
-    bits = (r - 1) * (m.bit_length() - 1)  # m^(r-1) >= 2^bits
-    if bits > max(EXACT_BITS, budget.bit_length()):  # far over: skip m^(r-1); 2^bits prints as a bound
-        raise BudgetError(1 << min(bits, 1 << 24), budget, "oracle enumeration")  # bound kept under 2 MB
-    cosets = m ** (r - 1)
+    cosets = budgeted_power(m, r - 1, budget, "oracle enumeration")
     required = max(cosets, comb(m + r - 2, r - 1) * (m + r))
     if required > budget:
         raise BudgetError(required, budget, "oracle enumeration")

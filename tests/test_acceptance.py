@@ -5,9 +5,7 @@ assertions are exact integer equalities; randomized checks use fixed
 seeds, at least 10^3 cases per property over m <= 20, r <= 12.
 """
 
-import itertools
 import random
-from math import gcd
 
 from leewaring import (
     FqField,

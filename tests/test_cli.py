@@ -184,7 +184,14 @@ def test_waring_budget_checked_before_building_field(capsys, monkeypatch):
 def test_waring_budget_exceeded_by_astronomical_field(capsys):
     code, out, err = run_cli(capsys, "waring", "generic", "--p", "3", "--n", "10000", "--k", "2")
     assert code == 2 and out == ""
-    assert err.startswith("budget exceeded: field size needs at least 2^15849,")
+    assert err.startswith("budget exceeded: field size needs at least 2^10000,")
+
+
+def test_waring_refuses_a_huge_degree_before_building_its_size(capsys):
+    # 3^3000000 is never built: the bound 2^3000000 is read off the bit lengths
+    code, out, err = run_cli(capsys, "waring", "generic", "--p", "3", "--n", "3000000", "--k", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("budget exceeded: field size needs at least 2^3000000,")
 
 
 def test_check_computes_the_norm_sequence_once(capsys, monkeypatch):

@@ -77,6 +77,21 @@ GOLDEN = {
         '"g((p^2-1)/4, p^2)",7,2,49,2,12,12,6,6,True\n',
         REMARKS_ROWS,
     ),
+    "waring thm1 --p 3 --r 5": (
+        0,
+        "g((q-1)/r, q): p=3 q=81 k=16 (gcd 16) computed=4 formula=4 MATCH\n",
+        "label,p,n,q,r,k,k_reduced,computed_g,formula_g,match\n" '"g((q-1)/r, q)",3,4,81,5,16,16,4,4,True\n',
+        {"label": "g((q-1)/r, q)", "p": 3, "n": 4, "q": 81, "r": 5, "k": 16, "k_reduced": 16,
+         "computed_g": 4, "formula_g": 4, "match": True},
+    ),
+    "waring thm2 --p 5 --r 7": (
+        0,
+        "g((q-1)/(2r), q): p=5 q=15625 k=1116 (gcd 1116) computed=8 formula=8 MATCH\n",
+        "label,p,n,q,r,k,k_reduced,computed_g,formula_g,match\n"
+        '"g((q-1)/(2r), q)",5,6,15625,7,1116,1116,8,8,True\n',
+        {"label": "g((q-1)/(2r), q)", "p": 5, "n": 6, "q": 15625, "r": 7, "k": 1116, "k_reduced": 1116,
+         "computed_g": 8, "formula_g": 8, "match": True},
+    ),
     "waring generic --p 2 --n 2 --k 3": (
         4,
         "g(k, q): p=2 q=4 k=3 (gcd 3) computed=NONE\n",

@@ -6,7 +6,6 @@ import pytest
 from vecgen import random_balanced
 from leewaring import (
     MDiffPlan,
-    ModVec,
     NormKind,
     construct_even_dim,
     construct_max_lee,

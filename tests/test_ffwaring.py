@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from leewaring import (
+    BudgetError,
     FqField,
     ModVec,
     NormKind,
@@ -91,6 +92,13 @@ def test_find_irreducible_examples():
     assert find_irreducible(5, 2) == (2, 0, 1)  # x^2 + 2
     with pytest.raises(ValueError):
         find_irreducible(6, 2)
+
+
+def test_find_irreducible_refuses_a_huge_degree_before_building_its_size():
+    with pytest.raises(BudgetError) as info:
+        find_irreducible(3, 3 * 10**6)
+    assert info.value.required == 1 << 3_000_000
+    assert info.value.budget == 2 * 10**6
 
 
 def test_field_constructor_rejects_reducible_modulus():
