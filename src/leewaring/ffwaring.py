@@ -1,8 +1,10 @@
 """Exact Waring numbers of small finite fields by breadth-first sumsets.
 
 F_{p^n} is represented concretely as Z/pZ[x] modulo a monic irreducible
-polynomial, elements being coefficient tuples in the power basis
-(constant coefficient first).  For primes r with p a primitive root
+polynomial.  An element is held as its rank: the base-p number whose
+digits are its coefficients in the power basis (constant coefficient
+first), so enumeration and table reads never build the digits, and
+products run on the digit tuples.  For primes r with p a primitive root
 modulo r, the polynomial 1 + x + ... + x^{r-1} is irreducible over Z/pZ
 and the class xi of x is a primitive r-th root of unity; on the basis
 1, xi, ..., xi^{r-2} the only relation is that all r powers of xi sum to
@@ -11,8 +13,7 @@ minimal power-sum representations to minimal-in-coset residue vectors.
 
 The nonzero k-th powers are the cyclic subgroup of F* of order
 d = (q-1)/gcd(k, q-1), listed as the powers of one element of order d.
-The sumset BFS works on element ranks (the base-p number whose digits
-are the coefficients): adding a power adds its digits mod p to the
+The sumset BFS works on element ranks: adding a power adds its digits mod p to the
 digits of a whole frontier at once, and the result is a numpy level
 array indexed by rank.  Each FqField holds the level arrays it has
 computed, one per reduced exponent, so a table lives exactly as long as
@@ -26,8 +27,9 @@ g((q-1)/(2r), q) = h_bound(p, r), which verify_theorem1/2 check by BFS.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import product
+from itertools import product, repeat
 from math import gcd, isqrt
+from operator import add
 
 from .bounds import g_bound, h_bound
 from .errors import BudgetError, budgeted_power
@@ -88,7 +90,9 @@ def find_irreducible(p: int, n: int, budget: int = DEFAULT_FIELD_BUDGET) -> tupl
     Free coefficients are scanned in ascending base-p order with the
     constant term as the least significant digit, so the result is
     deterministic (x for n = 1, x^2 + 1 for p = 3, x^2 + 2 for p = 5, ...).
+    Since q >= p, a p over the budget is refused before its primality test.
     """
+    _require_budget(p, budget)
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 1:
@@ -133,16 +137,18 @@ class FqField:
         return len(self.modulus) - 1
 
     def element(self, coeffs) -> FqElem:
-        c = tuple(x % self.p for x in coeffs)
+        """The element with these coefficients (constant first); the one place digits become a rank."""
+        c = tuple(coeffs)
         if len(c) > self.n:
             raise ValueError(f"too many coefficients for degree {self.n}")
-        return FqElem(self, c + (0,) * (self.n - len(c)))
+        p = self.p
+        return FqElem(self, sum(x % p * v for x, v in zip(c, self._place)))
 
     def zero(self) -> FqElem:
-        return FqElem(self, (0,) * self.n)
+        return FqElem(self, 0)
 
     def one(self) -> FqElem:
-        return self.element((1,))
+        return FqElem(self, 1)
 
     def gen(self) -> FqElem:
         """The residue class of x (equals -modulus[0] when n = 1)."""
@@ -154,28 +160,52 @@ class FqField:
         """Element with coefficient digits of t in base p (constant first)."""
         if not 0 <= t < self.q:
             raise ValueError(f"rank {t} outside [0, {self.q})")
-        p = self.p
-        return FqElem(self, tuple(t // v % p for v in self._place))
+        return FqElem(self, t)
 
     def rank(self, a: FqElem) -> int:
         """Inverse of from_rank: the coefficients read as base-p digits."""
-        t = 0
-        for c in reversed(a.coeffs):
-            t = t * self.p + c
-        return t
+        return a.rank
 
     def elements(self):
-        """All q elements, in rank order (the digit tuples, constant first)."""
-        for digits in product(range(self.p), repeat=self.n):
-            yield FqElem(self, digits[::-1])
+        """All q elements, in rank order."""
+        return map(FqElem, repeat(self), range(self.q))
 
 
-@dataclass(frozen=True)
+def _mul(f: FqField, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of two coefficient tuples of f, reduced mod its modulus."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _poly_rem(prod, f.modulus, f.p)
+
+
+def _pow(f: FqField, a: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """a^e on coefficient tuples of f, by square-and-multiply."""
+    out = (1,) + (0,) * (f.n - 1)
+    while e:
+        if e & 1:
+            out = _mul(f, out, a)
+        a, e = _mul(f, a, a), e >> 1
+    return out
+
+
+@dataclass(frozen=True, slots=True)
 class FqElem:
-    """An element of FqField: n coefficients in [0, p), power basis."""
+    """An element of FqField, held as its rank: the base-p number whose digits
+    are its n coefficients in the power basis (constant first), read by coeffs."""
 
     field: FqField
-    coeffs: tuple[int, ...]
+    rank: int
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        t, p = self.rank, self.field.p
+        return tuple(t // v % p for v in self.field._place)
+
+    def __repr__(self) -> str:
+        return f"FqElem(field={self.field!r}, coeffs={self.coeffs!r})"
 
     def _other(self, other: FqElem) -> FqElem:
         if not isinstance(other, FqElem) or other.field != self.field:
@@ -184,41 +214,25 @@ class FqElem:
 
     def __add__(self, other: FqElem) -> FqElem:
         other = self._other(other)
-        p = self.field.p
-        return FqElem(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return self.field.element(map(add, self.coeffs, other.coeffs))
 
     def __neg__(self) -> FqElem:
-        p = self.field.p
-        return FqElem(self.field, tuple(-a % p for a in self.coeffs))
+        return self.field.element(-a for a in self.coeffs)
 
     def __sub__(self, other: FqElem) -> FqElem:
         return self + (-self._other(other))
 
     def __mul__(self, other: FqElem) -> FqElem:
         other = self._other(other)
-        f = self.field
-        p, n = f.p, f.n
-        prod = [0] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        return FqElem(f, _poly_rem(tuple(prod), f.modulus, p) if len(prod) > n else tuple(prod))
+        return self.field.element(_mul(self.field, self.coeffs, other.coeffs))
 
     def __pow__(self, e: int) -> FqElem:
         if e < 0:
             raise ValueError(f"exponent must be nonnegative, got {e}")
-        out = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return self.field.element(_pow(self.field, self.coeffs, e))
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return self.rank != 0
 
 
 def is_primitive_root(p: int, r: int) -> bool:
@@ -273,16 +287,16 @@ def kth_power_set(f: FqField, k: int) -> set[FqElem]:
         return set(f.elements())
     d = (f.q - 1) // k_red
     cofactors = [d // ell for ell in _prime_divisors(d)]
-    one = f.one()
+    one = f.one().coeffs
     for t in range(1, f.q):
-        b = f.from_rank(t) ** k_red
-        if all(b**c != one for c in cofactors):
+        b = _pow(f, f.from_rank(t).coeffs, k_red)
+        if all(_pow(f, b, c) != one for c in cofactors):
             break
     out = {f.zero()}
     x = one
     for _ in range(d):
-        out.add(x)
-        x = x * b
+        out.add(f.element(x))
+        x = _mul(f, x, b)
     return out
 
 
@@ -313,7 +327,7 @@ def _sumset_levels(f: FqField, k_red: int):
     import numpy as np
 
     p, n, q = f.p, f.n, f.q
-    powers = np.array(sorted(f.rank(a) for a in kth_power_set(f, k_red) if a), dtype=np.int64)
+    powers = np.array(sorted(a.rank for a in kth_power_set(f, k_red) if a), dtype=np.int64)
     power_digits = _digits(powers, p, n)
     levels = np.full(q, -1, dtype=np.int32)
     levels[0] = 0
@@ -374,7 +388,7 @@ def per_element_length(f: FqField, k: int, a: FqElem, budget: int = DEFAULT_FIEL
     levels, g = _field_levels(f, gcd(k, q - 1))
     if g is None:
         raise ValueError("k-th powers do not span the field additively")
-    return levels.item(f.rank(a))
+    return levels.item(a.rank)
 
 
 def to_coset_vector(a: FqElem) -> ModVec:
@@ -430,8 +444,10 @@ def _budgeted_cyclotomic_field(p: int, r: int, budget: int) -> FqField:
     """cyclotomic_field(p, r), refused before it is built when q exceeds the budget.
 
     Building the field runs a trial-division irreducibility test that grows
-    with q, so the hypothesis is checked first and the budget next.
+    with q, so the hypothesis is checked first and the budget next, except
+    that a p over the budget is refused before its primality test.
     """
+    _require_budget(p, budget)
     _require_primitive_root(p, r)
     _require_budget(budgeted_power(p, r - 1, budget, "field size"), budget)
     return cyclotomic_field(p, r)
@@ -470,6 +486,7 @@ def verify_remarks(p: int, budget: int = DEFAULT_FIELD_BUDGET) -> list[WaringRep
     The third applies when p = 3 mod 4 and equals p - 1, computed in
     F_{p^2} built from the smallest irreducible quadratic.
     """
+    _require_budget(p, budget)
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     prime_field = FqField(p, find_irreducible(p, 1, budget))

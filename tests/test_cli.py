@@ -194,6 +194,29 @@ def test_waring_refuses_a_huge_degree_before_building_its_size(capsys):
     assert err.startswith("budget exceeded: field size needs at least 2^3000000,")
 
 
+HUGE_PRIME = 2**61 - 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generic", "--p", str(HUGE_PRIME), "--n", "1", "--k", "2"),
+        ("remarks", "--p", str(HUGE_PRIME)),
+        ("thm1", "--p", str(HUGE_PRIME), "--r", "3"),
+    ],
+    ids=["generic", "remarks", "thm1"],
+)
+def test_waring_refuses_a_huge_prime_before_testing_it(capsys, monkeypatch, argv):
+    # trial division up to isqrt(2^61 - 1) would run for minutes
+    def refuse(n):
+        raise AssertionError(f"primality test of {n} over budget")
+
+    monkeypatch.setattr(ffwaring, "_is_prime", refuse)
+    code, out, err = run_cli(capsys, "waring", *argv)
+    assert code == 2 and out == ""
+    assert err == f"budget exceeded: field size needs {HUGE_PRIME}, which exceeds the budget of 2000000\n"
+
+
 def test_check_computes_the_norm_sequence_once(capsys, monkeypatch):
     real, calls = admissible.norm_sequence, []
 

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import gc
+import pickle
 import random
 import weakref
 from math import gcd
@@ -26,6 +29,7 @@ from leewaring import (
     verify_theorem2,
     waring_number,
 )
+from leewaring import ffwaring
 from leewaring.ffwaring import _is_prime, _sumset_levels
 
 
@@ -101,6 +105,26 @@ def test_find_irreducible_refuses_a_huge_degree_before_building_its_size():
     assert info.value.budget == 2 * 10**6
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: find_irreducible(p, 1),
+        lambda p: verify_remarks(p),
+        lambda p: verify_theorem1(p, 3),
+        lambda p: verify_theorem2(p, 3),
+    ],
+    ids=["find_irreducible", "verify_remarks", "verify_theorem1", "verify_theorem2"],
+)
+def test_a_prime_over_the_budget_is_refused_before_its_primality_test(call, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"primality test of {n} over budget")
+
+    monkeypatch.setattr(ffwaring, "_is_prime", refuse)
+    with pytest.raises(BudgetError) as info:
+        call(2**61 - 1)
+    assert (info.value.required, info.value.budget) == (2**61 - 1, 2 * 10**6)
+
+
 def test_field_constructor_rejects_reducible_modulus():
     with pytest.raises(ValueError, match="reducible"):
         FqField(2, (0, 0, 1))  # x^2 over F_2
@@ -117,6 +141,54 @@ def test_field_arithmetic_basics():
     assert a + a == f.zero()
     assert f.rank(f.from_rank(11)) == 11
     assert len(list(f.elements())) == 16
+
+
+def test_element_repr_shows_its_coefficients():
+    assert repr(cyclotomic_field(3, 5).gen()) == (
+        "FqElem(field=FqField(p=3, modulus=(1, 1, 1, 1, 1), cyclotomic_order=5), coeffs=(0, 1, 0, 0))"
+    )
+
+
+def test_elements_are_frozen_and_survive_pickle_and_deepcopy():
+    f = cyclotomic_field(3, 5)
+    a = f.element((2, 0, 1, 1))
+    assert waring_number(f, 16) == 4  # the copies carry a level table too
+    for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert b == a and hash(b) == hash(a) and b.coeffs == (2, 0, 1, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.rank = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.field = f
+    assert a.rank == 2 + 9 + 27
+
+
+def test_every_route_to_an_element_gives_the_same_element():
+    f, g = cyclotomic_field(3, 5), cyclotomic_field(3, 5)
+    xi = f.gen()
+    coeffs = (2, 1, 0, 2)  # 2 + xi + 2 xi^3
+    t = 2 + 3 + 2 * 27
+    routes = [
+        f.element(coeffs),
+        f.element((5, 4, 3, -1)),  # digits taken mod p
+        f.from_rank(t),
+        list(f.elements())[t],
+        f.one() + f.one() + xi + xi**3 + xi**3,
+        (f.one() + f.one() + xi + xi**3 + xi**3) * xi * xi**4,  # xi^5 = 1
+        -(f.zero() - xi**6 * f.element(coeffs) * xi**4),  # xi^10 = 1, -(-a) = a
+        g.element(coeffs),
+        g.from_rank(t),
+        list(g.elements())[t],
+    ]
+    for a in routes:
+        assert a == routes[0] and hash(a) == hash(routes[0])
+        assert a.coeffs == coeffs and a.rank == t == f.rank(a) == g.rank(a)
+    assert f.element(coeffs) != FqField(3, (1, 1, 1, 1, 1)).element(coeffs)  # not flagged cyclotomic
+
+
+def test_an_element_is_false_only_at_rank_zero():
+    f = cyclotomic_field(2, 5)
+    assert [t for t in range(f.q) if not f.from_rank(t)] == [0]
+    assert not f.zero() and not (f.gen() - f.gen()) and f.one()
 
 
 def test_kth_power_set_examples():
@@ -344,3 +416,22 @@ def test_minimal_lengths_equal_coset_norms(p, r):
         k2 = (f.q - 1) // (2 * r)
         for a in f.elements():
             assert per_element_length(f, k2, a) == _min_coset_norm(to_coset_vector(a), NormKind.LEE)
+
+
+# q = 37^4 = 1 874 161, just under the default budget: opt-in (pytest -m slow).
+@pytest.mark.slow
+@pytest.mark.parametrize("thm,want", [(1, 72), (2, 44)])
+def test_verify_theorems_at_37_5(thm, want):
+    rep = (verify_theorem1 if thm == 1 else verify_theorem2)(37, 5)
+    assert rep.q == 37**4
+    assert rep.computed_g == want == rep.formula_g and rep.match
+
+
+@pytest.mark.slow
+def test_every_per_element_length_of_F_37_4_peaks_at_72():
+    f = cyclotomic_field(37, 5)
+    k = (f.q - 1) // 5
+    assert max(per_element_length(f, k, a) for a in f.elements()) == 72
+    for t in random.Random(37).sample(range(f.q), 300):
+        a = f.from_rank(t)
+        assert per_element_length(f, k, a) == _min_coset_norm(to_coset_vector(a), NormKind.ONE)
