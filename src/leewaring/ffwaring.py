@@ -13,11 +13,11 @@ minimal power-sum representations to minimal-in-coset residue vectors.
 
 The nonzero k-th powers are the cyclic subgroup of F* of order
 d = (q-1)/gcd(k, q-1), listed as the powers of one element of order d.
-The sumset BFS works on element ranks: adding a power adds its digits mod p to the
-digits of a whole frontier at once, and the result is a numpy level
-array indexed by rank.  Each FqField holds the level arrays it has
-computed, one per reduced exponent, so a table lives exactly as long as
-its field and repeated reads cost a dict lookup.
+The sumset BFS works on element ranks: adding a power adds its digits
+mod p to the digits of a whole frontier at once, and the result is a
+numpy level array indexed by rank.  Each FqField holds the level arrays
+it has computed, one per reduced exponent, so a table lives exactly as
+long as its field and repeated reads cost a dict lookup.
 
 For q = p^(r-1) the reduction to residue vectors makes the theorems' Waring
 numbers the coset maxima of bounds: g((q-1)/r, q) = g_bound(p, r) and
