@@ -5,7 +5,8 @@ polynomial.  An element is held as its rank: the base-p number whose
 digits are its coefficients in the power basis (constant coefficient
 first), so enumeration and table reads never build the digits, and
 products run on the digit tuples.  For primes r with p a primitive root
-modulo r, the polynomial 1 + x + ... + x^{r-1} is irreducible over Z/pZ
+modulo r (FqField's criterion for this modulus, in place of trial
+division), the polynomial 1 + x + ... + x^{r-1} is irreducible over Z/pZ
 and the class xi of x is a primitive r-th root of unity; on the basis
 1, xi, ..., xi^{r-2} the only relation is that all r powers of xi sum to
 0, which identifies coefficient vectors up to the all-ones line and ties
@@ -105,10 +106,12 @@ def find_irreducible(p: int, n: int, budget: int = DEFAULT_FIELD_BUDGET) -> tupl
 class FqField:
     """F_{p^n} as Z/pZ[x] modulo a monic irreducible (constant-first coeffs).
 
-    cyclotomic_order is set to r when the modulus is 1 + x + ... + x^{r-1},
-    in which case gen() is a primitive r-th root of unity.  The size q,
-    the place values p^i of the rank digits and the level tables follow
-    from p and the modulus, so they take no part in eq, hash or repr.
+    The constructor is the one field gate.  With cyclotomic_order = r the
+    modulus must be 1 + x + ... + x^{r-1}, irreducible exactly when p is a
+    primitive root modulo the prime r: that criterion replaces the trial
+    division any other modulus gets, and gen() is a primitive r-th root of
+    unity.  The size q, the place values p^i of the rank digits (a.rank
+    reads an element's) and the level tables take no part in eq, hash or repr.
     """
 
     p: int
@@ -119,13 +122,18 @@ class FqField:
     _tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
+        r = self.cyclotomic_order
+        if r is not None:
+            _require_primitive_root(self.p, r)
+        elif not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         reduced = tuple(c % self.p for c in self.modulus)
         object.__setattr__(self, "modulus", reduced)
         if len(reduced) < 2 or reduced[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 1")
-        if not _is_irreducible(reduced, self.p):
+        if r is not None and reduced != (1,) * r:
+            raise ValueError(f"modulus {reduced} is not 1 + x + ... + x^{r - 1}")
+        if r is None and not _is_irreducible(reduced, self.p):
             raise ValueError(f"modulus {reduced} is reducible over Z/{self.p}Z")
         n = len(reduced) - 1
         object.__setattr__(self, "q", self.p**n)
@@ -161,10 +169,6 @@ class FqField:
         if not 0 <= t < self.q:
             raise ValueError(f"rank {t} outside [0, {self.q})")
         return FqElem(self, t)
-
-    def rank(self, a: FqElem) -> int:
-        """Inverse of from_rank: the coefficients read as base-p digits."""
-        return a.rank
 
     def elements(self):
         """All q elements, in rank order."""
@@ -236,18 +240,14 @@ class FqElem:
 
 
 def is_primitive_root(p: int, r: int) -> bool:
-    """Whether the prime p generates the multiplicative group mod the prime r."""
+    """Whether the prime p generates (Z/rZ)*: p^((r-1)/l) != 1 mod r for each prime l | r-1."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not _is_prime(r):
         raise ValueError(f"{r} is not prime")
     if p == r:
         raise ValueError("p and r must be distinct primes")
-    order, t = 1, p % r
-    while t != 1:
-        t = t * p % r
-        order += 1
-    return order == r - 1
+    return all(pow(p, (r - 1) // ell, r) != 1 for ell in _prime_divisors(r - 1))
 
 
 def _require_primitive_root(p: int, r: int) -> None:
@@ -265,10 +265,9 @@ def cyclotomic_field(p: int, r: int) -> FqField:
     """F_{p^(r-1)} on the basis 1, xi, ..., xi^(r-2) with sum(xi^i) = 0.
 
     Needs p to be a primitive root modulo the prime r (that is exactly when
-    1 + x + ... + x^{r-1} is irreducible over Z/pZ); gen() is then a
-    primitive r-th root of unity.
+    1 + x + ... + x^{r-1} is irreducible over Z/pZ), which the FqField gate
+    checks; gen() is then a primitive r-th root of unity.
     """
-    _require_primitive_root(p, r)
     return FqField(p, (1,) * r, cyclotomic_order=r)
 
 
@@ -357,8 +356,15 @@ def _sumset_levels(f: FqField, k_red: int):
     return levels, (depth if seen == q else None)
 
 
-def _field_levels(f: FqField, k_red: int):
-    """_sumset_levels(f, k_red), computed once per field and kept on it."""
+def _field_levels(f: FqField, k: int, budget: int):
+    """The checked table lookup: _sumset_levels(f, gcd(k, q-1)) for k >= 1
+    and q within the budget, computed once per field and kept on it."""
+    if k < 1:
+        raise ValueError(f"power must be positive, got {k}")
+    q = f.q
+    if q > budget:
+        raise BudgetError(q, budget, "field size")
+    k_red = gcd(k, q - 1)
     table = f._tables.get(k_red)
     if table is None:
         table = f._tables[k_red] = _sumset_levels(f, k_red)
@@ -371,21 +377,14 @@ def waring_number(f: FqField, k: int, budget: int = DEFAULT_FIELD_BUDGET) -> int
     Returns None when the k-th powers generate a proper additive subgroup
     (e.g. a subfield), so that no such g exists.
     """
-    if k < 1:
-        raise ValueError(f"power must be positive, got {k}")
-    _require_budget(f.q, budget)
-    return _field_levels(f, gcd(k, f.q - 1))[1]
+    return _field_levels(f, k, budget)[1]
 
 
 def per_element_length(f: FqField, k: int, a: FqElem, budget: int = DEFAULT_FIELD_BUDGET) -> int:
     """Least number of k-th powers summing to a (0 for a = 0, empty sum)."""
-    if k < 1:
-        raise ValueError(f"power must be positive, got {k}")
     if a.field is not f and a.field != f:
         raise ValueError("element belongs to a different field")
-    q = f.q
-    _require_budget(q, budget)
-    levels, g = _field_levels(f, gcd(k, q - 1))
+    levels, g = _field_levels(f, k, budget)
     if g is None:
         raise ValueError("k-th powers do not span the field additively")
     return levels.item(a.rank)
@@ -443,13 +442,14 @@ def waring_report(
 def _budgeted_cyclotomic_field(p: int, r: int, budget: int) -> FqField:
     """cyclotomic_field(p, r), refused before it is built when q exceeds the budget.
 
-    Building the field runs a trial-division irreducibility test that grows
-    with q, so the hypothesis is checked first and the budget next, except
-    that a p over the budget is refused before its primality test.
+    The hypothesis is checked first and the budget next, except that a p
+    over the budget is refused before its primality test, and a q that
+    r - 1 alone puts far over the budget before the primality test of r.
     """
     _require_budget(p, budget)
+    q = budgeted_power(p, max(r - 1, 0), budget, "field size")
     _require_primitive_root(p, r)
-    _require_budget(budgeted_power(p, r - 1, budget, "field size"), budget)
+    _require_budget(q, budget)
     return cyclotomic_field(p, r)
 
 
@@ -486,9 +486,6 @@ def verify_remarks(p: int, budget: int = DEFAULT_FIELD_BUDGET) -> list[WaringRep
     The third applies when p = 3 mod 4 and equals p - 1, computed in
     F_{p^2} built from the smallest irreducible quadratic.
     """
-    _require_budget(p, budget)
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
     prime_field = FqField(p, find_irreducible(p, 1, budget))
     k1 = p - 1 if p > 2 else 1
     reports = [waring_report(prime_field, k1, p - 1, 1, "g(p-1, p)", budget)]

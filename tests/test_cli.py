@@ -217,6 +217,18 @@ def test_waring_refuses_a_huge_prime_before_testing_it(capsys, monkeypatch, argv
     assert err == f"budget exceeded: field size needs {HUGE_PRIME}, which exceeds the budget of 2000000\n"
 
 
+@pytest.mark.parametrize("thm", ["thm1", "thm2"])
+def test_waring_refuses_a_huge_order_before_testing_it(capsys, monkeypatch, thm):
+    # q = 3^(r-1) is refused on r - 1 alone, before r's primality test
+    def refuse(n):
+        raise AssertionError(f"primality test of {n} over budget")
+
+    monkeypatch.setattr(ffwaring, "_is_prime", refuse)
+    code, out, err = run_cli(capsys, "waring", thm, "--p", "3", "--r", str(HUGE_PRIME))
+    assert code == 2 and out == ""
+    assert err == "budget exceeded: field size needs at least 2^16777216, which exceeds the budget of 2000000\n"
+
+
 def test_check_computes_the_norm_sequence_once(capsys, monkeypatch):
     real, calls = admissible.norm_sequence, []
 

@@ -131,6 +131,8 @@ def test_golden_stdout(capsys, command, fmt):
             "waring thm1 --p 7 --r 3",
             "hypothesis failure: 1 + x + ... + x^2 is reducible mod 7: 7 is not a primitive root modulo 3\n",
         ),
+        # the budget pre-check runs before the hypothesis and must not compute 0 ** -1
+        ("waring thm1 --p 0 --r 0", "hypothesis failure: order must be a prime >= 2, got 0\n"),
         ("construct --m 0 --r 3 --norm lee", "error: m and r must be positive, got m=0, r=3\n"),
     ],
 )

@@ -132,6 +132,62 @@ def test_field_constructor_rejects_reducible_modulus():
         FqField(4, (1, 1))  # p not prime
 
 
+def test_field_gate_refuses_an_inconsistent_cyclotomic_order():
+    with pytest.raises(ValueError, match="is not 1 \\+ x"):
+        FqField(5, (2, 0, 1), cyclotomic_order=3)  # x^2 + 2 read as a cyclotomic basis
+    with pytest.raises(ValueError, match="is not 1 \\+ x"):
+        FqField(2, (1, 1, 1), cyclotomic_order=5)
+    with pytest.raises(ValueError, match="primitive root"):
+        FqField(7, (1, 1, 1), cyclotomic_order=3)
+    assert FqField(3, (1,) * 5, cyclotomic_order=5) == cyclotomic_field(3, 5)
+
+
+def _order_by_walk(p, r):
+    """Independent slow path: the multiplicative order of p mod r, power by power."""
+    order, t = 1, p % r
+    while t != 1:
+        t = t * p % r
+        order += 1
+    return order
+
+
+PRIMES_BELOW_200 = [n for n in range(200) if _is_prime(n)]
+
+
+def test_is_primitive_root_matches_the_order_walk():
+    pairs = [(p, r) for p in PRIMES_BELOW_200 for r in PRIMES_BELOW_200 if p != r]
+    for p, r in pairs:
+        assert is_primitive_root(p, r) == (_order_by_walk(p, r) == r - 1), (p, r)
+
+
+def test_cyclotomic_field_builds_exactly_when_the_modulus_is_irreducible():
+    # trial division up to degree (r-1)/2 costs about p^((r-1)/2) divisions
+    pairs = [
+        (p, r)
+        for p in PRIMES_BELOW_200
+        for r in PRIMES_BELOW_200
+        if p != r and p ** ((r - 1) // 2) <= 2000
+    ]
+    for p, r in pairs:
+        try:
+            cyclotomic_field(p, r)
+            built = True
+        except ValueError as err:
+            assert "primitive root" in str(err), (p, r)
+            built = False
+        assert built == ffwaring._is_irreducible((1,) * r, p), (p, r)
+
+
+def test_cyclotomic_fields_skip_trial_division(monkeypatch):
+    def refuse(poly, p):
+        raise AssertionError(f"trial division of {poly} mod {p}")
+
+    monkeypatch.setattr(ffwaring, "_is_irreducible", refuse)
+    assert cyclotomic_field(3, 17).q == 3**16
+    assert verify_theorem1(3, 5).match
+    assert verify_theorem2(5, 7).match
+
+
 def test_field_arithmetic_basics():
     f = cyclotomic_field(2, 5)  # F_16 with xi^4 = 1 + xi + xi^2 + xi^3
     xi = f.gen()
@@ -139,7 +195,7 @@ def test_field_arithmetic_basics():
     assert xi**4 == f.element((1, 1, 1, 1))
     a = f.element((1, 0, 1))
     assert a + a == f.zero()
-    assert f.rank(f.from_rank(11)) == 11
+    assert f.from_rank(11).rank == 11
     assert len(list(f.elements())) == 16
 
 
@@ -181,7 +237,7 @@ def test_every_route_to_an_element_gives_the_same_element():
     ]
     for a in routes:
         assert a == routes[0] and hash(a) == hash(routes[0])
-        assert a.coeffs == coeffs and a.rank == t == f.rank(a) == g.rank(a)
+        assert a.coeffs == coeffs and a.rank == t
     assert f.element(coeffs) != FqField(3, (1, 1, 1, 1, 1)).element(coeffs)  # not flagged cyclotomic
 
 
@@ -195,7 +251,7 @@ def test_kth_power_set_examples():
     f4 = cyclotomic_field(2, 3)
     assert {a.coeffs for a in kth_power_set(f4, 3)} == {(0, 0), (1, 0)}
     f5 = FqField(5, find_irreducible(5, 1))
-    assert {f5.rank(a) for a in kth_power_set(f5, 2)} == {0, 1, 4}
+    assert {a.rank for a in kth_power_set(f5, 2)} == {0, 1, 4}
     assert len(kth_power_set(f5, 1)) == 5
 
 
@@ -278,7 +334,7 @@ def test_elements_run_in_rank_order(field):
     sample = range(f.q) if f.q <= 2401 else random.Random(17).sample(range(f.q), 400)
     for t in sample:
         assert elements[t].coeffs == tuple(t // p**i % p for i in range(n))
-        assert f.rank(f.from_rank(t)) == t
+        assert f.from_rank(t).rank == t
     with pytest.raises(ValueError, match="outside"):
         f.from_rank(f.q)
 

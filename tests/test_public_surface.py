@@ -4,6 +4,8 @@ import leewaring
 from leewaring import construct, modring, oracle
 
 DELETED = ("optimal_pair", "double_embed", "least_residue", "all_ones", "brute_covering_radius")
+# (class, attribute): a method folded into what it wrapped (FqField.rank(a) is a.rank)
+DELETED_ATTRIBUTES = (("FqField", "rank"),)
 
 
 def test_all_is_sorted_and_resolves():
@@ -19,3 +21,8 @@ def test_deleted_names_are_gone(name):
         exec(f"from leewaring import {name}", {})
     for module in (construct, modring, oracle):
         assert not hasattr(module, name), (module.__name__, name)
+
+
+@pytest.mark.parametrize("owner,name", DELETED_ATTRIBUTES)
+def test_deleted_attributes_are_gone(owner, name):
+    assert not hasattr(getattr(leewaring, owner), name)
