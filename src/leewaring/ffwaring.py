@@ -14,11 +14,15 @@ minimal power-sum representations to minimal-in-coset residue vectors.
 
 The nonzero k-th powers are the cyclic subgroup of F* of order
 d = (q-1)/gcd(k, q-1), listed as the powers of one element of order d.
+The scan for that element starts at rank p, outside the prime field, and
+the powers are listed by doubling: the digit rows of b^0..b^(m-1) times
+the multiply-by-b^m matrix mod p give the next m rows in one product.
 The sumset BFS works on element ranks: adding a power adds its digits
 mod p to the digits of a whole frontier at once, and the result is a
 numpy level array indexed by rank.  Each FqField holds the level arrays
-it has computed, one per reduced exponent, so a table lives exactly as
-long as its field and repeated reads cost a dict lookup.
+it has computed, keyed by the exponent as given and by the reduced one,
+so a table lives exactly as long as its field and a repeated read costs
+one dict lookup.
 
 For q = p^(r-1) the reduction to residue vectors makes the theorems' Waring
 numbers the coset maxima of bounds: g((q-1)/r, q) = g_bound(p, r) and
@@ -28,9 +32,9 @@ g((q-1)/(2r), q) = h_bound(p, r), which verify_theorem1/2 check by BFS.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from math import gcd, isqrt
-from operator import add
+from operator import add, index
 
 from .bounds import g_bound, h_bound
 from .errors import BudgetError, budgeted_power
@@ -39,8 +43,33 @@ from .modring import ModVec
 DEFAULT_FIELD_BUDGET = 2 * 10**6
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
+    """Deterministic Miller-Rabin, with trial division kept for a survivor above 3.3e24."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d = (n - 1) >> 1
+    s = 1
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return n < _MR_EXACT_BELOW or all(n % f for f in range(43, isqrt(n) + 1, 2))
 
 
 def _require_budget(q: int, budget: int) -> None:
@@ -48,15 +77,17 @@ def _require_budget(q: int, budget: int) -> None:
         raise BudgetError(q, budget, "field size")
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out, f = [], 2
+def _prime_divisors(n: int):
+    """The prime divisors of n in increasing order, found lazily by trial division."""
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            out.append(f)
+            yield f
             while n % f == 0:
                 n //= f
         f += 1
-    return out + ([n] if n > 1 else [])
+    if n > 1:
+        yield n
 
 
 def _poly_rem(num: tuple[int, ...], den: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -107,11 +138,12 @@ class FqField:
     """F_{p^n} as Z/pZ[x] modulo a monic irreducible (constant-first coeffs).
 
     The constructor is the one field gate.  With cyclotomic_order = r the
-    modulus must be 1 + x + ... + x^{r-1}, irreducible exactly when p is a
-    primitive root modulo the prime r: that criterion replaces the trial
-    division any other modulus gets, and gen() is a primitive r-th root of
-    unity.  The size q, the place values p^i of the rank digits (a.rank
-    reads an element's) and the level tables take no part in eq, hash or repr.
+    modulus must be 1 + x + ... + x^{r-1} (compared before any primality
+    test), irreducible exactly when p is a primitive root modulo the prime
+    r: that criterion replaces the trial division any other modulus gets,
+    and gen() is a primitive r-th root of unity.  The size q, the place
+    values p^i of the rank digits (a.rank reads an element's) and the level
+    tables take no part in eq, hash or repr.
     """
 
     p: int
@@ -122,22 +154,23 @@ class FqField:
     _tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        r = self.cyclotomic_order
-        if r is not None:
-            _require_primitive_root(self.p, r)
-        elif not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        reduced = tuple(c % self.p for c in self.modulus)
+        p, r = self.p, self.cyclotomic_order
+        if p < 2 or (r is None and not _is_prime(p)):
+            raise ValueError(f"{p} is not prime")
+        reduced = tuple(c % p for c in self.modulus)
         object.__setattr__(self, "modulus", reduced)
         if len(reduced) < 2 or reduced[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 1")
-        if r is not None and reduced != (1,) * r:
+        if r is None:
+            if not _is_irreducible(reduced, p):
+                raise ValueError(f"modulus {reduced} is reducible over Z/{p}Z")
+        elif len(reduced) != r or reduced != (1,) * r:
             raise ValueError(f"modulus {reduced} is not 1 + x + ... + x^{r - 1}")
-        if r is None and not _is_irreducible(reduced, self.p):
-            raise ValueError(f"modulus {reduced} is reducible over Z/{self.p}Z")
+        else:
+            _require_primitive_root(p, r)
         n = len(reduced) - 1
-        object.__setattr__(self, "q", self.p**n)
-        object.__setattr__(self, "_place", tuple(self.p**i for i in range(n)))
+        object.__setattr__(self, "q", p**n)
+        object.__setattr__(self, "_place", tuple(p**i for i in range(n)))
         object.__setattr__(self, "_tables", {})
 
     @property
@@ -266,37 +299,66 @@ def cyclotomic_field(p: int, r: int) -> FqField:
 
     Needs p to be a primitive root modulo the prime r (that is exactly when
     1 + x + ... + x^{r-1} is irreducible over Z/pZ), which the FqField gate
-    checks; gen() is then a primitive r-th root of unity.
+    checks; gen() is then a primitive r-th root of unity.  The criterion is
+    checked here too, before the modulus is built, so a huge r costs no memory.
     """
+    _require_primitive_root(p, r)
     return FqField(p, (1,) * r, cyclotomic_order=r)
+
+
+def _times_matrix(f: FqField, c: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """M(c): row j holds the digits of c * x^j, so digits(y) @ M(c) = digits(c * y) mod p.
+
+    Row j is row j-1 times x: its digits move up one place, and a top digit t
+    that leaves comes back as t * x^n = -t * (modulus less its leading 1).
+    """
+    p, low = f.p, f.modulus[:-1]
+    rows = [c]
+    for _ in range(f.n - 1):
+        prev = rows[-1]
+        top = prev[-1]
+        rows.append(tuple((a - top * m) % p for a, m in zip((0,) + prev[:-1], low)))
+    return rows
 
 
 def kth_power_set(f: FqField, k: int) -> set[FqElem]:
     """{x^k : x in F}: 0 plus the cyclic subgroup of F* of index gcd(k, q-1).
 
     That subgroup has order d = (q-1)/gcd(k, q-1) and consists of the
-    gcd(k, q-1)-th powers.  The first such power b = a^gcd(k, q-1), in
-    rank order of a, with b^(d/l) != 1 for every prime l | d has order
-    exactly d, so the set is 0, 1, b, ..., b^(d-1).
+    gcd(k, q-1)-th powers.  A power b = a^gcd(k, q-1) with b^(d/l) != 1 for
+    every prime l | d has order exactly d, so the set is 0, 1, b, ...,
+    b^(d-1).  The scan for a starts at rank p, the first element outside
+    F_p, and wraps round to 1..p-1: an element of F_p qualifies only when
+    d | p-1, and for n > 1 a primitive element outside F_p always does.
+
+    The d powers are listed by doubling: the digit rows of b^0..b^(m-1)
+    times M(b^m) mod p are the rows of b^m..b^(2m-1), and the ranks are the
+    rows times the place values.  The arithmetic is int64 while no sum can
+    reach 2^63, and Python ints beyond that, so it stays exact.
     """
+    import numpy as np
+
     if k < 1:
         raise ValueError(f"power must be positive, got {k}")
-    k_red = gcd(k, f.q - 1)
+    p, n, q = f.p, f.n, f.q
+    k_red = gcd(k, q - 1)
     if k_red == 1:
         return set(f.elements())
-    d = (f.q - 1) // k_red
+    d = (q - 1) // k_red
     cofactors = [d // ell for ell in _prime_divisors(d)]
     one = f.one().coeffs
-    for t in range(1, f.q):
-        b = _pow(f, f.from_rank(t).coeffs, k_red)
+    for t in chain(range(p, q), range(1, p)):
+        b = _pow(f, FqElem(f, t).coeffs, k_red)
         if all(_pow(f, b, c) != one for c in cofactors):
             break
-    out = {f.zero()}
-    x = one
-    for _ in range(d):
-        out.add(f.element(x))
-        x = _mul(f, x, b)
-    return out
+    dtype = np.int64 if max(n * (p - 1) ** 2, q - 1) < 2**63 else object
+    rows = np.array([one], dtype=dtype)
+    while len(rows) < d:
+        step = np.array(_times_matrix(f, b), dtype=dtype)
+        rows = np.concatenate((rows, rows @ step % p))
+        b = _mul(f, b, b)
+    ranks = rows[:d] @ np.array(f._place, dtype=dtype)
+    return {f.zero(), *map(FqElem, repeat(f), ranks.tolist())}
 
 
 def _digits(ranks, p: int, n: int) -> list:
@@ -358,16 +420,24 @@ def _sumset_levels(f: FqField, k_red: int):
 
 def _field_levels(f: FqField, k: int, budget: int):
     """The checked table lookup: _sumset_levels(f, gcd(k, q-1)) for k >= 1
-    and q within the budget, computed once per field and kept on it."""
+    and q within the budget, computed once per field and kept on it.
+
+    A table is kept under k as well as under gcd(k, q-1), so a repeated
+    read is the two checks and one dict hit.
+    """
+    k = index(k)
     if k < 1:
         raise ValueError(f"power must be positive, got {k}")
     q = f.q
     if q > budget:
         raise BudgetError(q, budget, "field size")
-    k_red = gcd(k, q - 1)
-    table = f._tables.get(k_red)
+    table = f._tables.get(k)
     if table is None:
-        table = f._tables[k_red] = _sumset_levels(f, k_red)
+        k_red = gcd(k, q - 1)
+        table = f._tables.get(k_red)
+        if table is None:
+            table = _sumset_levels(f, k_red)
+        f._tables[k] = f._tables[k_red] = table
     return table
 
 

@@ -4,7 +4,7 @@ import gc
 import pickle
 import random
 import weakref
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -30,12 +30,25 @@ from leewaring import (
     waring_number,
 )
 from leewaring import ffwaring
-from leewaring.ffwaring import _is_prime, _sumset_levels
+from leewaring.ffwaring import _is_prime, _mul, _sumset_levels
 
 
-def _reference_levels(f, k_red):
+def _primitive_walk(f):
+    """Independent slow path: g^0, ..., g^(q-2) as coefficient tuples, for the
+    first g in rank order whose successive products reach 1 only after q-1 steps."""
+    one = f.one().coeffs
+    for t in range(1, f.q):
+        a = f.from_rank(t)
+        walk, x = [one], a.coeffs
+        while x != one:
+            walk.append(x)
+            x = _mul(f, x, a.coeffs)
+        if len(walk) == f.q - 1:
+            return walk
+
+
+def _reference_levels(f, powers):
     """Independent slow path: the sumset BFS on coefficient tuples in a dict."""
-    powers = [a.coeffs for a in kth_power_set(f, k_red)]
     p, n, q = f.p, f.n, f.q
     zero = (0,) * n
     levels = {zero: 0}
@@ -140,6 +153,42 @@ def test_field_gate_refuses_an_inconsistent_cyclotomic_order():
     with pytest.raises(ValueError, match="primitive root"):
         FqField(7, (1, 1, 1), cyclotomic_order=3)
     assert FqField(3, (1,) * 5, cyclotomic_order=5) == cyclotomic_field(3, 5)
+
+
+def test_a_mismatched_cyclotomic_order_is_refused_before_any_primality_test(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"primality test of {n}")
+
+    monkeypatch.setattr(ffwaring, "_is_prime", refuse)
+    with pytest.raises(ValueError, match="is not 1 \\+ x"):
+        FqField(3, (1, 1, 1), cyclotomic_order=2**61 - 1)
+    with pytest.raises(ValueError, match="is not 1 \\+ x"):
+        FqField(5, (2, 0, 1), cyclotomic_order=3)
+    with pytest.raises(ValueError, match="0 is not prime"):
+        FqField(0, (1, 1, 1), cyclotomic_order=3)
+
+
+def test_cyclotomic_field_refuses_a_huge_order_before_building_its_modulus():
+    # 2^61 - 1 is prime and 3 is not a primitive root modulo it: 3^((r-1)/3) = 1
+    assert pow(3, (2**61 - 2) // 3, 2**61 - 1) == 1
+    with pytest.raises(ValueError, match="primitive root"):
+        cyclotomic_field(3, 2**61 - 1)
+
+
+def _prime_by_trial_division(n):
+    return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
+
+
+def test_miller_rabin_matches_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if _prime_by_trial_division(n)
+    ]
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n), n
+    assert _is_prime(2**61 - 1) and _is_prime(2147483693)
+    # above the exact range a composite is still refused by Miller-Rabin itself
+    assert not _is_prime((2**61 - 1) * (2**89 - 1))
 
 
 def _order_by_walk(p, r):
@@ -272,6 +321,28 @@ def test_kth_power_set_matches_direct_powers():
                 assert len(direct) == 1 + (f.q - 1) // k
 
 
+# 2147483693 = 2 mod 3 is prime and above 2^31, so n (p-1)^2 >= 2^63; and
+# 2 is a primitive root modulo 67, so F_{2^66} has ranks above 2^63.  The
+# products must not wrap round in int64 on either side of that bound.
+def test_kth_power_set_stays_exact_beyond_int64():
+    p = 2147483693
+    f = cyclotomic_field(p, 3)
+    assert f.n * (p - 1) ** 2 >= 2**63
+    cubes = {a.rank for a in kth_power_set(f, (f.q - 1) // 3)}
+    assert cubes == {0, 1, p, (p - 1) * (1 + p)}  # 0, 1, xi, xi^2 = -1 - xi
+    sixths = {a.rank for a in kth_power_set(f, (f.q - 1) // 6)}
+    assert sixths == cubes | {p - 1, (p - 1) * p, 1 + p}  # and -1, -xi, -xi^2 = 1 + xi
+    p = 2**61 - 1  # F_p with a single product (p-1)^2 far above 2^63
+    f = FqField(p, (0, 1))
+    for d in (3, 6, 1321):
+        roots = {a.rank for a in kth_power_set(f, (p - 1) // d)}
+        assert len(roots) == d + 1 and all(pow(x, d, p) == 1 for x in roots - {0}), d
+    f = cyclotomic_field(2, 67)
+    assert f.q > 2**63
+    roots = {a.rank for a in kth_power_set(f, (f.q - 1) // 67)}
+    assert roots == {0, 2**66 - 1} | {2**i for i in range(66)}  # xi^66 = 1 + xi + ... + xi^65
+
+
 def test_waring_number_examples():
     f4 = cyclotomic_field(2, 3)
     assert waring_number(f4, 3) is None  # cubes only span the prime subfield
@@ -347,27 +418,53 @@ def test_separately_built_fields_are_equal():
     assert f != FqField(3, (1, 1, 1, 1, 1))  # the same modulus, not flagged cyclotomic
 
 
+def test_a_kept_table_still_gets_every_check():
+    f = cyclotomic_field(3, 5)
+    a = f.gen()
+    for _ in range(2):  # the first round computes the table, the second reads it
+        for k in (16, 48):  # gcd(48, 80) = 16
+            assert waring_number(f, k) == waring_number(f, gcd(k, f.q - 1)) == 4
+            assert per_element_length(f, k, a) == 1
+            with pytest.raises(BudgetError):
+                waring_number(f, k, budget=80)
+            with pytest.raises(BudgetError):
+                per_element_length(f, k, a, budget=80)
+        for bad, err in ((0, ValueError), (-16, ValueError), (2.0, TypeError), (16.0, TypeError)):
+            with pytest.raises(err):
+                waring_number(f, bad)
+            with pytest.raises(err):
+                per_element_length(f, bad, a)
+
+
 def test_level_tables_live_with_their_field():
     # x^3 + 2x + 2: no other test builds this field, so a cache keyed by
     # equal fields would have to hold this very object
     f = FqField(3, (2, 2, 0, 1))
     assert waring_number(f, 2) == 2
+    assert per_element_length(f, 6, f.gen()) == per_element_length(f, 6, f.gen())  # gcd(6, 26) = 2
     ref = weakref.ref(f)
     del f
     gc.collect()
     assert ref() is None
 
 
+def _rank(coeffs, p):
+    return sum(c * p**i for i, c in enumerate(coeffs))
+
+
 @pytest.mark.parametrize("p,n", BFS_GRID)
 def test_rank_bfs_matches_tuple_bfs(p, n):
     f = FqField(p, find_irreducible(p, n))
+    walk = _primitive_walk(f)
     for k_red in range(1, f.q):
         if (f.q - 1) % k_red:
             continue
-        ref, ref_g = _reference_levels(f, k_red)
+        powers = [(0,) * n] + walk[::k_red]  # 0 and the subgroup of order (q-1)/k_red
+        assert {a.rank for a in kth_power_set(f, k_red)} == {_rank(c, p) for c in powers}
+        ref, ref_g = _reference_levels(f, powers)
         want = np.full(f.q, -1)
         for coeffs, level in ref.items():
-            want[sum(c * p**i for i, c in enumerate(coeffs))] = level
+            want[_rank(coeffs, p)] = level
         levels, g = _sumset_levels(f, k_red)
         assert g == ref_g == waring_number(f, k_red), (p, n, k_red)
         assert np.array_equal(levels, want), (p, n, k_red)
