@@ -22,7 +22,15 @@ mod p to the digits of a whole frontier at once, and the result is a
 numpy level array indexed by rank.  Each FqField holds the level arrays
 it has computed, keyed by the exponent as given and by the reduced one,
 so a table lives exactly as long as its field and a repeated read costs
-one dict lookup.
+one dict lookup.  A kept table is read through a read-only memoryview of
+its int32 array, so per_element_length's read by rank is one C-level index
+that returns an int; pickle and deepcopy carry the array and rebuild the
+view.
+
+Elements are built at the edge only.  FqElem(f, t) builds one; the
+private factory _elements, behind elements() and kth_power_set's return,
+builds many without the frozen dataclass __init__, and FqField caches its
+own hash, so hashing an element does not re-hash the field's modulus.
 
 For q = p^(r-1) the reduction to residue vectors makes the theorems' Waring
 numbers the coset maxima of bounds: g((q-1)/r, q) = g_bound(p, r) and
@@ -32,7 +40,7 @@ g((q-1)/(2r), q) = h_bound(p, r), which verify_theorem1/2 check by BFS.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import chain, product, repeat
+from itertools import chain, product
 from math import gcd, isqrt
 from operator import add, index
 
@@ -142,8 +150,9 @@ class FqField:
     test), irreducible exactly when p is a primitive root modulo the prime
     r: that criterion replaces the trial division any other modulus gets,
     and gen() is a primitive r-th root of unity.  The size q, the place
-    values p^i of the rank digits (a.rank reads an element's) and the level
-    tables take no part in eq, hash or repr.
+    values p^i of the rank digits (a.rank reads an element's), the level
+    tables and the cached hash of (p, modulus, cyclotomic_order) take no
+    part in eq, hash or repr.
     """
 
     p: int
@@ -152,6 +161,7 @@ class FqField:
     q: int = field(init=False, repr=False, compare=False)
     _place: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _tables: dict = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p, r = self.p, self.cyclotomic_order
@@ -172,6 +182,24 @@ class FqField:
         object.__setattr__(self, "q", p**n)
         object.__setattr__(self, "_place", tuple(p**i for i in range(n)))
         object.__setattr__(self, "_tables", {})
+        self._set_hash()
+
+    def _set_hash(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.p, self.modulus, self.cyclotomic_order)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        """Pickle and deepcopy carry each kept level array in place of its view."""
+        tables = {k: (levels.obj, g) for k, (levels, g) in self._tables.items()}
+        return {**self.__dict__, "_tables": tables}
+
+    def __setstate__(self, state: dict) -> None:
+        """Hash afresh (hash(None) differs between processes) and view each carried array."""
+        tables = {k: _kept(levels, g) for k, (levels, g) in state.pop("_tables").items()}
+        self.__dict__.update(state, _tables=tables)
+        self._set_hash()
 
     @property
     def n(self) -> int:
@@ -204,8 +232,8 @@ class FqField:
         return FqElem(self, t)
 
     def elements(self):
-        """All q elements, in rank order."""
-        return map(FqElem, repeat(self), range(self.q))
+        """All q elements, in rank order, built lazily."""
+        return _elements(self, range(self.q))
 
 
 def _mul(f: FqField, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -270,6 +298,20 @@ class FqElem:
 
     def __bool__(self) -> bool:
         return self.rank != 0
+
+
+_new_elem = object.__new__
+_set_field = FqElem.field.__set__
+_set_rank = FqElem.rank.__set__
+
+
+def _elements(f: FqField, ranks):
+    """FqElem(f, t) for each rank t, set through the slots without the frozen __init__."""
+    for t in ranks:
+        a = _new_elem(FqElem)
+        _set_field(a, f)
+        _set_rank(a, t)
+        yield a
 
 
 def is_primitive_root(p: int, r: int) -> bool:
@@ -358,7 +400,7 @@ def kth_power_set(f: FqField, k: int) -> set[FqElem]:
         rows = np.concatenate((rows, rows @ step % p))
         b = _mul(f, b, b)
     ranks = rows[:d] @ np.array(f._place, dtype=dtype)
-    return {f.zero(), *map(FqElem, repeat(f), ranks.tolist())}
+    return {f.zero(), *_elements(f, ranks.tolist())}
 
 
 def _digits(ranks, p: int, n: int) -> list:
@@ -418,12 +460,20 @@ def _sumset_levels(f: FqField, k_red: int):
     return levels, (depth if seen == q else None)
 
 
+def _kept(levels, g: int | None) -> tuple:
+    """The kept form of a level table: a read-only view of the array (no copy) and g."""
+    levels.flags.writeable = False
+    return memoryview(levels), g
+
+
 def _field_levels(f: FqField, k: int, budget: int):
     """The checked table lookup: _sumset_levels(f, gcd(k, q-1)) for k >= 1
     and q within the budget, computed once per field and kept on it.
 
     A table is kept under k as well as under gcd(k, q-1), so a repeated
-    read is the two checks and one dict hit.
+    read is the two checks and one dict hit.  It is kept as (levels, g)
+    with levels a read-only memoryview of the int32 array, so levels[rank]
+    is one C-level read that returns an int.
     """
     k = index(k)
     if k < 1:
@@ -436,7 +486,7 @@ def _field_levels(f: FqField, k: int, budget: int):
         k_red = gcd(k, q - 1)
         table = f._tables.get(k_red)
         if table is None:
-            table = _sumset_levels(f, k_red)
+            table = _kept(*_sumset_levels(f, k_red))
         f._tables[k] = f._tables[k_red] = table
     return table
 
@@ -451,13 +501,22 @@ def waring_number(f: FqField, k: int, budget: int = DEFAULT_FIELD_BUDGET) -> int
 
 
 def per_element_length(f: FqField, k: int, a: FqElem, budget: int = DEFAULT_FIELD_BUDGET) -> int:
-    """Least number of k-th powers summing to a (0 for a = 0, empty sum)."""
+    """Least number of k-th powers summing to a (0 for a = 0, empty sum).
+
+    A kept table is read in place: its key is an int k >= 1, so a hit needs
+    only the budget check, and a miss or a refusal goes to _field_levels,
+    which makes the checks in the same order.
+    """
     if a.field is not f and a.field != f:
         raise ValueError("element belongs to a different field")
-    levels, g = _field_levels(f, k, budget)
+    k = index(k)
+    table = f._tables.get(k)
+    if table is None or f.q > budget:
+        table = _field_levels(f, k, budget)
+    levels, g = table
     if g is None:
         raise ValueError("k-th powers do not span the field additively")
-    return levels.item(a.rank)
+    return levels[a.rank]
 
 
 def to_coset_vector(a: FqElem) -> ModVec:

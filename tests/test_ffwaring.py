@@ -11,6 +11,7 @@ import pytest
 
 from leewaring import (
     BudgetError,
+    FqElem,
     FqField,
     ModVec,
     NormKind,
@@ -267,6 +268,32 @@ def test_elements_are_frozen_and_survive_pickle_and_deepcopy():
     assert a.rank == 2 + 9 + 27
 
 
+def _assert_same_element(a, f):
+    """a, built by the element factory, cannot be told apart from FqElem(f, a.rank)."""
+    b = FqElem(f, a.rank)
+    assert type(a) is FqElem and a.field is f
+    assert a == b and hash(a) == hash(b) == hash((f, a.rank))
+    assert repr(a) == repr(b) and bool(a) == bool(b) and a.coeffs == b.coeffs
+    for c in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert c == a and hash(c) == hash(a) and c.coeffs == a.coeffs and repr(c) == repr(a)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.rank = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.field = f
+
+
+def test_factory_built_elements_match_constructed_ones():
+    f = cyclotomic_field(3, 5)
+    for a in f.elements():
+        _assert_same_element(a, f)
+    for f, k in ((cyclotomic_field(3, 5), 16), (FqField(7, find_irreducible(7, 2)), 3),
+                 (FqField(5, find_irreducible(5, 1)), 2), (cyclotomic_field(2, 5), 1)):
+        powers = kth_power_set(f, k)
+        assert len(powers) == 1 + (f.q - 1) // gcd(k, f.q - 1)
+        for a in powers:
+            _assert_same_element(a, f)
+
+
 def test_every_route_to_an_element_gives_the_same_element():
     f, g = cyclotomic_field(3, 5), cyclotomic_field(3, 5)
     xi = f.gen()
@@ -418,6 +445,20 @@ def test_separately_built_fields_are_equal():
     assert f != FqField(3, (1, 1, 1, 1, 1))  # the same modulus, not flagged cyclotomic
 
 
+def test_the_field_hash_is_cached_and_survives_copies():
+    f = cyclotomic_field(3, 5)
+    other_route = FqField(3, (1,) * 5, cyclotomic_order=5)
+    assert other_route == f and hash(other_route) == hash(f) == hash((3, (1,) * 5, 5))
+    assert waring_number(f, 16) == 4
+    for c in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert c == f and hash(c) == hash(f)
+    plain = FqField(3, (1,) * 5)  # the same modulus, not flagged cyclotomic
+    assert plain != f and hash(plain) == hash((3, (1,) * 5, None))
+    # a stale hash in the pickle (hash(None) differs between processes) is recomputed
+    object.__setattr__(plain, "_hash", hash(plain) + 1)
+    assert hash(pickle.loads(pickle.dumps(plain))) == hash(FqField(3, (1,) * 5))
+
+
 def test_a_kept_table_still_gets_every_check():
     f = cyclotomic_field(3, 5)
     a = f.gen()
@@ -429,11 +470,49 @@ def test_a_kept_table_still_gets_every_check():
                 waring_number(f, k, budget=80)
             with pytest.raises(BudgetError):
                 per_element_length(f, k, a, budget=80)
+        # 16.0 hashes like the kept key 16, yet still raises
         for bad, err in ((0, ValueError), (-16, ValueError), (2.0, TypeError), (16.0, TypeError)):
             with pytest.raises(err):
                 waring_number(f, bad)
             with pytest.raises(err):
                 per_element_length(f, bad, a)
+            with pytest.raises(err):
+                per_element_length(f, bad, a, budget=80)  # k before the budget
+        for k in (16, 16.0, 0):  # the field before k
+            with pytest.raises(ValueError, match="different field"):
+                per_element_length(f, k, FqField(3, find_irreducible(3, 4)).gen())
+    f4 = cyclotomic_field(2, 3)
+    with pytest.raises(ValueError, match="do not span"):
+        per_element_length(f4, 3, f4.one())
+    with pytest.raises(BudgetError):  # the budget before g is None, with the table kept
+        per_element_length(f4, 3, f4.one(), budget=3)
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (7, 2), (43, 2), (13, 1)])
+def test_the_kept_table_read_matches_the_level_array(p, n):
+    assert (p, n) in BFS_GRID
+    f = FqField(p, find_irreducible(p, n))
+    divisors = [k for k in range(1, f.q) if (f.q - 1) % k == 0]
+    spanned = []
+    for k in divisors:
+        levels, g = _sumset_levels(f, gcd(k, f.q - 1))
+        if g is None:
+            with pytest.raises(ValueError, match="do not span"):
+                per_element_length(f, k, f.one())
+            continue
+        spanned.append(k)
+        for a in f.elements():
+            length = per_element_length(f, k, a)
+            assert type(length) is int and length == levels[a.rank]
+        view = f._tables[k][0]  # a read-only view of the one level array
+        assert view.readonly and not view.obj.flags.writeable and view.obj.base is None
+    assert spanned
+    for c in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert c == f and c._tables.keys() == f._tables.keys()
+        for k in spanned:
+            assert [per_element_length(c, k, a) for a in c.elements()] == [
+                per_element_length(f, k, a) for a in f.elements()
+            ]
 
 
 def test_level_tables_live_with_their_field():
