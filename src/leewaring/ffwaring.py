@@ -27,10 +27,10 @@ its int32 array, so per_element_length's read by rank is one C-level index
 that returns an int; pickle and deepcopy carry the array and rebuild the
 view.
 
-Elements are built at the edge only.  FqElem(f, t) builds one; the
-private factory _elements, behind elements() and kth_power_set's return,
-builds many without the frozen dataclass __init__, and FqField caches its
-own hash, so hashing an element does not re-hash the field's modulus.
+Elements are built at the edge only.  kth_power_set returns ranks, and
+the BFS and the table reads run on ranks, so no FqElem is built on the way
+to a Waring number.  FqElem(f, t) builds one element; elements() builds
+them all, lazily, without the frozen dataclass __init__.
 
 For q = p^(r-1) the reduction to residue vectors makes the theorems' Waring
 numbers the coset maxima of bounds: g((q-1)/r, q) = g_bound(p, r) and
@@ -41,8 +41,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from itertools import chain, product
-from math import gcd, isqrt
-from operator import add, index
+from math import gcd
+from operator import index
 
 from .bounds import g_bound, h_bound
 from .errors import BudgetError, budgeted_power
@@ -51,13 +51,14 @@ from .modring import ModVec
 DEFAULT_FIELD_BUDGET = 2 * 10**6
 
 
-# Miller-Rabin with the primes up to 41 as bases is exact below this bound.
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound;
+# a survivor at or above it is refused, as trial division there would not end.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, with trial division kept for a survivor above 3.3e24."""
+    """Deterministic Miller-Rabin; a survivor at or above 3.3e24 raises ValueError."""
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -77,7 +78,9 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _MR_EXACT_BELOW or all(n % f for f in range(43, isqrt(n) + 1, 2))
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"cannot prove {n} prime: Miller-Rabin is exact only below {_MR_EXACT_BELOW}")
+    return True
 
 
 def _require_budget(q: int, budget: int) -> None:
@@ -150,9 +153,8 @@ class FqField:
     test), irreducible exactly when p is a primitive root modulo the prime
     r: that criterion replaces the trial division any other modulus gets,
     and gen() is a primitive r-th root of unity.  The size q, the place
-    values p^i of the rank digits (a.rank reads an element's), the level
-    tables and the cached hash of (p, modulus, cyclotomic_order) take no
-    part in eq, hash or repr.
+    values p^i of the rank digits (a.rank reads an element's) and the
+    level tables take no part in eq, hash or repr.
     """
 
     p: int
@@ -161,7 +163,6 @@ class FqField:
     q: int = field(init=False, repr=False, compare=False)
     _place: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _tables: dict = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p, r = self.p, self.cyclotomic_order
@@ -182,13 +183,6 @@ class FqField:
         object.__setattr__(self, "q", p**n)
         object.__setattr__(self, "_place", tuple(p**i for i in range(n)))
         object.__setattr__(self, "_tables", {})
-        self._set_hash()
-
-    def _set_hash(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.p, self.modulus, self.cyclotomic_order)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __getstate__(self) -> dict:
         """Pickle and deepcopy carry each kept level array in place of its view."""
@@ -196,10 +190,9 @@ class FqField:
         return {**self.__dict__, "_tables": tables}
 
     def __setstate__(self, state: dict) -> None:
-        """Hash afresh (hash(None) differs between processes) and view each carried array."""
+        """View each carried array again."""
         tables = {k: _kept(levels, g) for k, (levels, g) in state.pop("_tables").items()}
         self.__dict__.update(state, _tables=tables)
-        self._set_hash()
 
     @property
     def n(self) -> int:
@@ -272,30 +265,6 @@ class FqElem:
     def __repr__(self) -> str:
         return f"FqElem(field={self.field!r}, coeffs={self.coeffs!r})"
 
-    def _other(self, other: FqElem) -> FqElem:
-        if not isinstance(other, FqElem) or other.field != self.field:
-            raise ValueError("elements belong to different fields")
-        return other
-
-    def __add__(self, other: FqElem) -> FqElem:
-        other = self._other(other)
-        return self.field.element(map(add, self.coeffs, other.coeffs))
-
-    def __neg__(self) -> FqElem:
-        return self.field.element(-a for a in self.coeffs)
-
-    def __sub__(self, other: FqElem) -> FqElem:
-        return self + (-self._other(other))
-
-    def __mul__(self, other: FqElem) -> FqElem:
-        other = self._other(other)
-        return self.field.element(_mul(self.field, self.coeffs, other.coeffs))
-
-    def __pow__(self, e: int) -> FqElem:
-        if e < 0:
-            raise ValueError(f"exponent must be nonnegative, got {e}")
-        return self.field.element(_pow(self.field, self.coeffs, e))
-
     def __bool__(self) -> bool:
         return self.rank != 0
 
@@ -363,8 +332,8 @@ def _times_matrix(f: FqField, c: tuple[int, ...]) -> list[tuple[int, ...]]:
     return rows
 
 
-def kth_power_set(f: FqField, k: int) -> set[FqElem]:
-    """{x^k : x in F}: 0 plus the cyclic subgroup of F* of index gcd(k, q-1).
+def kth_power_set(f: FqField, k: int) -> frozenset[int]:
+    """The ranks of {x^k : x in F}: 0 plus the cyclic subgroup of F* of index gcd(k, q-1).
 
     That subgroup has order d = (q-1)/gcd(k, q-1) and consists of the
     gcd(k, q-1)-th powers.  A power b = a^gcd(k, q-1) with b^(d/l) != 1 for
@@ -372,11 +341,13 @@ def kth_power_set(f: FqField, k: int) -> set[FqElem]:
     b^(d-1).  The scan for a starts at rank p, the first element outside
     F_p, and wraps round to 1..p-1: an element of F_p qualifies only when
     d | p-1, and for n > 1 a primitive element outside F_p always does.
+    Each candidate's digits are read off its rank; no FqElem is built.
 
     The d powers are listed by doubling: the digit rows of b^0..b^(m-1)
     times M(b^m) mod p are the rows of b^m..b^(2m-1), and the ranks are the
     rows times the place values.  The arithmetic is int64 while no sum can
-    reach 2^63, and Python ints beyond that, so it stays exact.
+    reach 2^63, and Python ints beyond that, so it stays exact.  When
+    gcd(k, q-1) = 1 every element is a k-th power and the set is range(q).
     """
     import numpy as np
 
@@ -385,12 +356,12 @@ def kth_power_set(f: FqField, k: int) -> set[FqElem]:
     p, n, q = f.p, f.n, f.q
     k_red = gcd(k, q - 1)
     if k_red == 1:
-        return set(f.elements())
+        return frozenset(range(q))
     d = (q - 1) // k_red
     cofactors = [d // ell for ell in _prime_divisors(d)]
-    one = f.one().coeffs
+    one = (1,) + (0,) * (n - 1)
     for t in chain(range(p, q), range(1, p)):
-        b = _pow(f, FqElem(f, t).coeffs, k_red)
+        b = _pow(f, tuple(t // v % p for v in f._place), k_red)
         if all(_pow(f, b, c) != one for c in cofactors):
             break
     dtype = np.int64 if max(n * (p - 1) ** 2, q - 1) < 2**63 else object
@@ -400,7 +371,7 @@ def kth_power_set(f: FqField, k: int) -> set[FqElem]:
         rows = np.concatenate((rows, rows @ step % p))
         b = _mul(f, b, b)
     ranks = rows[:d] @ np.array(f._place, dtype=dtype)
-    return {f.zero(), *_elements(f, ranks.tolist())}
+    return frozenset([0, *ranks.tolist()])
 
 
 def _digits(ranks, p: int, n: int) -> list:
@@ -430,7 +401,7 @@ def _sumset_levels(f: FqField, k_red: int):
     import numpy as np
 
     p, n, q = f.p, f.n, f.q
-    powers = np.array(sorted(a.rank for a in kth_power_set(f, k_red) if a), dtype=np.int64)
+    powers = np.array(sorted(kth_power_set(f, k_red) - {0}), dtype=np.int64)
     power_digits = _digits(powers, p, n)
     levels = np.full(q, -1, dtype=np.int32)
     levels[0] = 0
@@ -479,8 +450,7 @@ def _field_levels(f: FqField, k: int, budget: int):
     if k < 1:
         raise ValueError(f"power must be positive, got {k}")
     q = f.q
-    if q > budget:
-        raise BudgetError(q, budget, "field size")
+    _require_budget(q, budget)
     table = f._tables.get(k)
     if table is None:
         k_red = gcd(k, q - 1)

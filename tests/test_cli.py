@@ -250,3 +250,11 @@ def test_cli_import_leaves_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_waring_refuses_a_prime_above_the_exact_primality_bound(capsys):
+    # 2^89 - 1 passes Miller-Rabin above the range where it is exact; it used to hang in trial division
+    big = str(2**89 - 1)
+    code, out, err = run_cli(capsys, "waring", "generic", "--p", big, "--n", "1", "--k", "1", "--budget", str(10**27))
+    assert code == 2 and out == ""
+    assert err.startswith("hypothesis failure: ") and big in err and "3317044064679887385961981" in err

@@ -1,8 +1,11 @@
 import copy
 import dataclasses
 import gc
+import os
 import pickle
 import random
+import subprocess
+import sys
 import weakref
 from math import gcd, isqrt
 
@@ -31,7 +34,7 @@ from leewaring import (
     waring_number,
 )
 from leewaring import ffwaring
-from leewaring.ffwaring import _is_prime, _mul, _sumset_levels
+from leewaring.ffwaring import _MR_EXACT_BELOW, _is_prime, _mul, _pow, _sumset_levels
 
 
 def _primitive_walk(f):
@@ -192,6 +195,21 @@ def test_miller_rabin_matches_trial_division():
     assert not _is_prime((2**61 - 1) * (2**89 - 1))
 
 
+def test_a_survivor_above_the_exact_bound_is_refused_at_once():
+    # 2^89 - 1 is prime, and the bound itself is a composite strong
+    # pseudoprime to every base 2..41; trial division of either would hang
+    assert _MR_EXACT_BELOW == 1287836182261 * 2575672364521
+    big = 2**89 - 1
+    for call in (
+        lambda: _is_prime(big),
+        lambda: _is_prime(_MR_EXACT_BELOW),
+        lambda: FqField(big, (0, 1)),
+        lambda: is_primitive_root(3, big),
+    ):
+        with pytest.raises(ValueError, match=f"exact only below {_MR_EXACT_BELOW}"):
+            call()
+
+
 def _order_by_walk(p, r):
     """Independent slow path: the multiplicative order of p mod r, power by power."""
     order, t = 1, p % r
@@ -240,11 +258,13 @@ def test_cyclotomic_fields_skip_trial_division(monkeypatch):
 
 def test_field_arithmetic_basics():
     f = cyclotomic_field(2, 5)  # F_16 with xi^4 = 1 + xi + xi^2 + xi^3
-    xi = f.gen()
-    assert (xi**5).coeffs == f.one().coeffs  # fifth root of unity
-    assert xi**4 == f.element((1, 1, 1, 1))
+    xi = f.gen().coeffs
+    assert _pow(f, xi, 5) == f.one().coeffs  # fifth root of unity
+    assert f.element(_pow(f, xi, 4)) == f.element((1, 1, 1, 1))
+    assert _mul(f, xi, xi) == _pow(f, xi, 2) == (0, 0, 1, 0)
+    assert _pow(f, xi, 0) == f.one().coeffs
     a = f.element((1, 0, 1))
-    assert a + a == f.zero()
+    assert f.element(2 * c for c in a.coeffs) == f.zero()  # a + a = 0 in characteristic 2
     assert f.from_rank(11).rank == 11
     assert len(list(f.elements())) == 16
 
@@ -286,27 +306,23 @@ def test_factory_built_elements_match_constructed_ones():
     f = cyclotomic_field(3, 5)
     for a in f.elements():
         _assert_same_element(a, f)
-    for f, k in ((cyclotomic_field(3, 5), 16), (FqField(7, find_irreducible(7, 2)), 3),
-                 (FqField(5, find_irreducible(5, 1)), 2), (cyclotomic_field(2, 5), 1)):
-        powers = kth_power_set(f, k)
-        assert len(powers) == 1 + (f.q - 1) // gcd(k, f.q - 1)
-        for a in powers:
-            _assert_same_element(a, f)
 
 
 def test_every_route_to_an_element_gives_the_same_element():
     f, g = cyclotomic_field(3, 5), cyclotomic_field(3, 5)
-    xi = f.gen()
+    one, xi = f.one().coeffs, f.gen().coeffs
+    xi3 = _pow(f, xi, 3)
     coeffs = (2, 1, 0, 2)  # 2 + xi + 2 xi^3
     t = 2 + 3 + 2 * 27
+    total = tuple(map(sum, zip(one, one, xi, xi3, xi3)))  # f.element reduces the digits mod p
     routes = [
         f.element(coeffs),
         f.element((5, 4, 3, -1)),  # digits taken mod p
         f.from_rank(t),
         list(f.elements())[t],
-        f.one() + f.one() + xi + xi**3 + xi**3,
-        (f.one() + f.one() + xi + xi**3 + xi**3) * xi * xi**4,  # xi^5 = 1
-        -(f.zero() - xi**6 * f.element(coeffs) * xi**4),  # xi^10 = 1, -(-a) = a
+        f.element(total),
+        f.element(_mul(f, _mul(f, total, xi), _pow(f, xi, 4))),  # xi^5 = 1
+        f.element(_mul(f, _mul(f, _pow(f, xi, 6), coeffs), _pow(f, xi, 4))),  # xi^10 = 1
         g.element(coeffs),
         g.from_rank(t),
         list(g.elements())[t],
@@ -320,15 +336,23 @@ def test_every_route_to_an_element_gives_the_same_element():
 def test_an_element_is_false_only_at_rank_zero():
     f = cyclotomic_field(2, 5)
     assert [t for t in range(f.q) if not f.from_rank(t)] == [0]
-    assert not f.zero() and not (f.gen() - f.gen()) and f.one()
+    xi = f.gen().coeffs
+    assert not f.zero() and not f.element(_mul(f, xi, (0,) * f.n)) and f.one()
+    assert f.element(_pow(f, xi, 5)) and not f.element(x - y for x, y in zip(xi, xi))
 
 
 def test_kth_power_set_examples():
     f4 = cyclotomic_field(2, 3)
-    assert {a.coeffs for a in kth_power_set(f4, 3)} == {(0, 0), (1, 0)}
+    assert {f4.from_rank(t).coeffs for t in kth_power_set(f4, 3)} == {(0, 0), (1, 0)}
     f5 = FqField(5, find_irreducible(5, 1))
-    assert {a.rank for a in kth_power_set(f5, 2)} == {0, 1, 4}
-    assert len(kth_power_set(f5, 1)) == 5
+    assert kth_power_set(f5, 2) == frozenset({0, 1, 4})
+    assert kth_power_set(f5, 1) == kth_power_set(f5, 3) == frozenset(range(5))
+    f81 = cyclotomic_field(3, 5)
+    for k in (1, 16, 80):
+        powers = kth_power_set(f81, k)
+        assert type(powers) is frozenset and all(type(t) is int for t in powers)
+    with pytest.raises(ValueError, match="positive"):
+        kth_power_set(f5, 0)
 
 
 def test_kth_power_set_matches_direct_powers():
@@ -336,14 +360,14 @@ def test_kth_power_set_matches_direct_powers():
     for f in (FqField(7, find_irreducible(7, 1)), cyclotomic_field(3, 5), FqField(3, (1, 0, 1))):
         for _ in range(5):
             k = rng.randrange(1, 50)
-            direct = {a**k for a in f.elements()}
+            direct = {f.element(_pow(f, a.coeffs, k)).rank for a in f.elements()}
             assert kth_power_set(f, k) == direct
             assert len(direct) == 1 + (f.q - 1) // gcd(k, f.q - 1)
     # every subgroup order d | q - 1, from d = q - 1 (48 = 2^4 * 3, 63 = 3^2 * 7) down to d = 1
     for f in (FqField(7, find_irreducible(7, 2)), FqField(2, find_irreducible(2, 6))):
         for k in range(1, f.q):
             if (f.q - 1) % k == 0:
-                direct = {a**k for a in f.elements()}
+                direct = {f.element(_pow(f, a.coeffs, k)).rank for a in f.elements()}
                 assert kth_power_set(f, k) == direct
                 assert len(direct) == 1 + (f.q - 1) // k
 
@@ -355,18 +379,18 @@ def test_kth_power_set_stays_exact_beyond_int64():
     p = 2147483693
     f = cyclotomic_field(p, 3)
     assert f.n * (p - 1) ** 2 >= 2**63
-    cubes = {a.rank for a in kth_power_set(f, (f.q - 1) // 3)}
+    cubes = set(kth_power_set(f, (f.q - 1) // 3))
     assert cubes == {0, 1, p, (p - 1) * (1 + p)}  # 0, 1, xi, xi^2 = -1 - xi
-    sixths = {a.rank for a in kth_power_set(f, (f.q - 1) // 6)}
+    sixths = set(kth_power_set(f, (f.q - 1) // 6))
     assert sixths == cubes | {p - 1, (p - 1) * p, 1 + p}  # and -1, -xi, -xi^2 = 1 + xi
     p = 2**61 - 1  # F_p with a single product (p-1)^2 far above 2^63
     f = FqField(p, (0, 1))
     for d in (3, 6, 1321):
-        roots = {a.rank for a in kth_power_set(f, (p - 1) // d)}
+        roots = set(kth_power_set(f, (p - 1) // d))
         assert len(roots) == d + 1 and all(pow(x, d, p) == 1 for x in roots - {0}), d
     f = cyclotomic_field(2, 67)
     assert f.q > 2**63
-    roots = {a.rank for a in kth_power_set(f, (f.q - 1) // 67)}
+    roots = set(kth_power_set(f, (f.q - 1) // 67))
     assert roots == {0, 2**66 - 1} | {2**i for i in range(66)}  # xi^66 = 1 + xi + ... + xi^65
 
 
@@ -445,18 +469,37 @@ def test_separately_built_fields_are_equal():
     assert f != FqField(3, (1, 1, 1, 1, 1))  # the same modulus, not flagged cyclotomic
 
 
-def test_the_field_hash_is_cached_and_survives_copies():
+def test_the_field_hash_matches_across_routes_and_copies():
     f = cyclotomic_field(3, 5)
     other_route = FqField(3, (1,) * 5, cyclotomic_order=5)
     assert other_route == f and hash(other_route) == hash(f) == hash((3, (1,) * 5, 5))
-    assert waring_number(f, 16) == 4
+    assert waring_number(f, 16) == 4  # a kept table takes no part in eq or hash
     for c in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
-        assert c == f and hash(c) == hash(f)
+        assert c == f and hash(c) == hash(f) == hash(other_route)
+        assert {other_route: "found"}[c] == "found"
     plain = FqField(3, (1,) * 5)  # the same modulus, not flagged cyclotomic
     assert plain != f and hash(plain) == hash((3, (1,) * 5, None))
-    # a stale hash in the pickle (hash(None) differs between processes) is recomputed
-    object.__setattr__(plain, "_hash", hash(plain) + 1)
-    assert hash(pickle.loads(pickle.dumps(plain))) == hash(FqField(3, (1,) * 5))
+    # hash(None), in a plain field's key, differs between processes
+    script = "import pickle, sys; from leewaring import FqField; sys.stdout.buffer.write(pickle.dumps(FqField(3, (1,) * 5)))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ffwaring.__file__)))
+    elsewhere = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True, timeout=60)
+    for c in (pickle.loads(elsewhere.stdout), pickle.loads(pickle.dumps(plain)), copy.deepcopy(plain), copy.copy(plain)):
+        assert c == plain and hash(c) == hash(plain)
+        assert {FqField(3, (1,) * 5): "found"}[c] == "found"
+
+
+def test_powers_tables_and_reads_build_no_element(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an FqElem was built")
+
+    read = cyclotomic_field(3, 5)
+    a = read.gen()  # the element to read is built before the patch
+    monkeypatch.setattr(ffwaring, "FqElem", refuse)
+    monkeypatch.setattr(ffwaring, "_elements", refuse)
+    f = cyclotomic_field(3, 5)  # fresh: no kept table
+    assert len(kth_power_set(f, 16)) == 6 and kth_power_set(f, 3) == frozenset(range(f.q))
+    assert waring_number(f, 16) == 4 and waring_number(f, 1) == 1
+    assert per_element_length(read, 48, a) == 1
 
 
 def test_a_kept_table_still_gets_every_check():
@@ -539,7 +582,7 @@ def test_rank_bfs_matches_tuple_bfs(p, n):
         if (f.q - 1) % k_red:
             continue
         powers = [(0,) * n] + walk[::k_red]  # 0 and the subgroup of order (q-1)/k_red
-        assert {a.rank for a in kth_power_set(f, k_red)} == {_rank(c, p) for c in powers}
+        assert set(kth_power_set(f, k_red)) == {_rank(c, p) for c in powers}
         ref, ref_g = _reference_levels(f, powers)
         want = np.full(f.q, -1)
         for coeffs, level in ref.items():
@@ -554,8 +597,9 @@ def test_to_coset_vector_examples():
     assert to_coset_vector(f4.zero()) == ModVec(2, (0, 0, 0))
     assert to_coset_vector(f4.gen()) == ModVec(2, (0, 1, 0))
     f16 = cyclotomic_field(2, 5)
-    xi = f16.gen()
-    assert to_coset_vector(xi + xi**3) == ModVec(2, (0, 1, 0, 1, 0))
+    xi = f16.gen().coeffs
+    assert to_coset_vector(f16.element(map(sum, zip(xi, _pow(f16, xi, 3))))) == ModVec(2, (0, 1, 0, 1, 0))
+    assert to_coset_vector(f16.element(_pow(f16, xi, 4))) == ModVec(2, (1, 1, 1, 1, 0))  # xi^4 = -(1 + ... + xi^3)
     plain = FqField(2, (1, 1, 1))  # same modulus, not flagged cyclotomic
     with pytest.raises(ValueError):
         to_coset_vector(plain.one())

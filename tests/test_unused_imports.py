@@ -1,7 +1,7 @@
 """Every name an import binds is used in its file.
 
 No linter is installed, so the sources are scanned with ast: the package,
-the tests and the tools.  A name counts as used when the file reads it;
+the tests, the tools and the benchmark harness.  A name counts as used when the file reads it;
 in the package's __init__, a name listed in __all__ is a re-export and
 counts as used too.
 """
@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = ("src/leewaring/*.py", "tests/*.py", "tools/*.py")
+SOURCES = ("src/leewaring/*.py", "tests/*.py", "tools/*.py", "perfbench/*.py")
 
 
 def unused_imports(path: Path) -> list[str]:
