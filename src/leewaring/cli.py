@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from itertools import chain, islice
 
@@ -283,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=DEFAULT_BUDGET,
         help="max work units: cosets covered, or states x (shifts + coordinates)",
     )
-    p_oracle.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="positive; the work is serial")
+    p_oracle.add_argument("--threads", type=int, default=1, help="positive; the work is serial")
     p_oracle.add_argument("--format", **fmt)
     p_oracle.set_defaults(func=cmd_oracle)
 

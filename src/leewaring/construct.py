@@ -224,8 +224,6 @@ def construct_max_lee(m: int, r: int) -> ModVec:
     """
     if m < 1 or r < 1:
         raise ValueError(f"m and r must be positive, got m={m}, r={r}")
-    if m == 1:
-        return ModVec(1, [0] * r)
     if r >= 2 * m:
         residual = r % m + m
         cycles = full_cycle(m).coords * ((r - residual) // m)

@@ -148,38 +148,38 @@ def find_irreducible(p: int, n: int, budget: int = DEFAULT_FIELD_BUDGET) -> tupl
 class FqField:
     """F_{p^n} as Z/pZ[x] modulo a monic irreducible (constant-first coeffs).
 
-    The constructor is the one field gate.  With cyclotomic_order = r the
-    modulus must be 1 + x + ... + x^{r-1} (compared before any primality
-    test), irreducible exactly when p is a primitive root modulo the prime
-    r: that criterion replaces the trial division any other modulus gets,
-    and gen() is a primitive r-th root of unity.  The size q, the place
-    values p^i of the rank digits (a.rank reads an element's) and the
-    level tables take no part in eq, hash or repr.
+    The constructor is the one field gate, and the modulus decides.  The
+    modulus 1 + x + ... + x^{r-1}, r a prime other than p, is irreducible
+    exactly when p is a primitive root modulo r; that criterion replaces
+    the trial division any other modulus gets, cyclotomic_order is r (else
+    None) and gen() is a primitive r-th root of unity.  Only p and the
+    modulus take part in eq, hash and repr; q, the place values p^i of the
+    rank digits (a.rank reads an element's) and the level tables do not.
     """
 
     p: int
     modulus: tuple[int, ...]
-    cyclotomic_order: int | None = None
+    cyclotomic_order: int | None = field(init=False, repr=False, compare=False)
     q: int = field(init=False, repr=False, compare=False)
     _place: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        p, r = self.p, self.cyclotomic_order
-        if p < 2 or (r is None and not _is_prime(p)):
+        p = self.p
+        if p < 2 or not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         reduced = tuple(c % p for c in self.modulus)
         object.__setattr__(self, "modulus", reduced)
-        if len(reduced) < 2 or reduced[-1] != 1:
+        r = len(reduced)
+        if r < 2 or reduced[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 1")
-        if r is None:
-            if not _is_irreducible(reduced, p):
-                raise ValueError(f"modulus {reduced} is reducible over Z/{p}Z")
-        elif len(reduced) != r or reduced != (1,) * r:
-            raise ValueError(f"modulus {reduced} is not 1 + x + ... + x^{r - 1}")
-        else:
+        cyclotomic = reduced == (1,) * r and r != p and _is_prime(r)
+        if cyclotomic:
             _require_primitive_root(p, r)
-        n = len(reduced) - 1
+        elif not _is_irreducible(reduced, p):
+            raise ValueError(f"modulus {reduced} is reducible over Z/{p}Z")
+        object.__setattr__(self, "cyclotomic_order", r if cyclotomic else None)
+        n = r - 1
         object.__setattr__(self, "q", p**n)
         object.__setattr__(self, "_place", tuple(p**i for i in range(n)))
         object.__setattr__(self, "_tables", {})
@@ -308,13 +308,12 @@ def _require_primitive_root(p: int, r: int) -> None:
 def cyclotomic_field(p: int, r: int) -> FqField:
     """F_{p^(r-1)} on the basis 1, xi, ..., xi^(r-2) with sum(xi^i) = 0.
 
-    Needs p to be a primitive root modulo the prime r (that is exactly when
-    1 + x + ... + x^{r-1} is irreducible over Z/pZ), which the FqField gate
-    checks; gen() is then a primitive r-th root of unity.  The criterion is
-    checked here too, before the modulus is built, so a huge r costs no memory.
+    Needs p to be a primitive root modulo the prime r, which is checked
+    before the modulus is built (so a huge r costs no memory); the FqField
+    gate then reads r off 1 + x + ... + x^{r-1} and checks it again.
     """
     _require_primitive_root(p, r)
-    return FqField(p, (1,) * r, cyclotomic_order=r)
+    return FqField(p, (1,) * r)
 
 
 def _times_matrix(f: FqField, c: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -401,7 +400,8 @@ def _sumset_levels(f: FqField, k_red: int):
     import numpy as np
 
     p, n, q = f.p, f.n, f.q
-    powers = np.array(sorted(kth_power_set(f, k_red) - {0}), dtype=np.int64)
+    powers = kth_power_set(f, k_red)  # rebinding it frees the set before the BFS
+    powers = np.sort(np.fromiter(powers, np.int64, len(powers)))[1:]  # 0 sorts first
     power_digits = _digits(powers, p, n)
     levels = np.full(q, -1, dtype=np.int32)
     levels[0] = 0

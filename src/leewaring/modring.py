@@ -50,10 +50,6 @@ class ModVec:
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "coords", tuple(index(c) % modulus for c in coords))
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
     def __len__(self) -> int:
         return len(self.coords)
 

@@ -6,6 +6,7 @@ import pytest
 from vecgen import random_balanced
 from leewaring import (
     MDiffPlan,
+    ModVec,
     NormKind,
     construct_even_dim,
     construct_max_lee,
@@ -185,7 +186,9 @@ def test_construct_max_lee_examples():
     assert construct_max_lee(2, 2).coords == (0, 1)
     v = construct_max_lee(5, 11)
     assert norm(v, LEE) == 13 == h_bound(5, 11) and is_admissible(v, LEE)
-    assert construct_max_lee(1, 3).coords == (0, 0, 0)
+    for r in (1, 2, 3, 2000):  # m = 1 goes through the general dispatch
+        v = construct_max_lee(1, r)
+        assert v == ModVec(1, [0] * r) and v.modulus == 1 and len(v) == r
 
 
 def test_construct_dispatch_small_grid():

@@ -5,8 +5,9 @@ from leewaring import construct, modring, oracle
 
 DELETED = ("optimal_pair", "double_embed", "least_residue", "all_ones", "brute_covering_radius")
 # (class, attribute): a method folded into what it wrapped (FqField.rank(a) is a.rank),
-# and FqElem's arithmetic operators, which only tests used (they use _mul and _pow now)
-DELETED_ATTRIBUTES = (("FqField", "rank"),) + tuple(
+# ModVec.dim, which nothing read (len(v) gives it), and FqElem's arithmetic operators,
+# which only tests used (they use _mul and _pow now)
+DELETED_ATTRIBUTES = (("FqField", "rank"), ("ModVec", "dim")) + tuple(
     ("FqElem", op) for op in ("__add__", "__neg__", "__sub__", "__mul__", "__pow__")
 )
 

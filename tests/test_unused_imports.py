@@ -3,11 +3,14 @@
 No linter is installed, so the sources are scanned with ast: the package,
 the tests, the tools and the benchmark harness.  A name counts as used when the file reads it;
 in the package's __init__, a name listed in __all__ is a re-export and
-counts as used too.
+counts as used too.  Every source must also parse with the Python 3.10
+grammar, the oldest that pyproject.toml allows.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = ("src/leewaring/*.py", "tests/*.py", "tools/*.py", "perfbench/*.py")
@@ -39,3 +42,12 @@ def test_scan_sees_every_source_tree():
 def test_no_unused_imports():
     found = [hit for pattern in SOURCES for path in sorted(ROOT.glob(pattern)) for hit in unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_every_source_parses_as_python_3_10():
+    # the 3.10 parser refuses later grammar such as except* (Python 3.11)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    for pattern in SOURCES:
+        for path in sorted(ROOT.glob(pattern)):
+            ast.parse(path.read_text(), str(path), feature_version=(3, 10))
