@@ -5,54 +5,41 @@ lowers its norm, i.e. its norm is minimal within its coset of the
 all-ones line.  The norm sequence of v lists ||v + x*e|| for all x; its
 strict local extrema (with plateaus, read cyclically) drive the balanced
 vector constructions.  shift_norms is the one kernel that computes norm
-sequences, here for a single vector and in the oracle for many at once.
+sequences from a residue histogram and a weight table (modring.weights),
+here for a single vector and in the oracle for many at once.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial, reduce
+from itertools import accumulate, chain, islice, repeat
+from operator import add, mul, sub
 from typing import Sequence
 
-from .modring import ModVec, NormKind, shift
+from .modring import ModVec, NormKind, shift, weights
 
 
-def norm_steps(m: int, kind: NormKind) -> tuple[int, int, int]:
-    """(rise, fall, drop): how one coordinate's weight moves from shift x to x+1.
-
-    A coordinate whose shifted residue c lies in [0, rise) gains 1, one in
-    [m - fall, m) loses drop, and one in between keeps its weight.  ONE
-    gains 1 everywhere except at m-1, which drops to 0; LEE climbs to m//2
-    and falls back, with a flat step at (m-1)/2 for odd m.
-    """
-    if kind is NormKind.ONE:
-        return m - 1, 1, m - 1
-    return m // 2, m // 2, 1
-
-
-def shift_norms(hist, kind: NormKind):
-    """Yield the norms at shifts x = 0, ..., m-1 of the vectors with residue histogram hist.
+def shift_norms(hist, w):
+    """Yield the norms sum_c hist[c] * w[(c + x) % m] at the shifts x = 0, ..., m-1.
 
     hist[c] counts the coordinates equal to c: an int for one vector, or a
-    numpy row with one entry per vector.  Each step x -> x+1 adds the number
-    of coordinates in the rising window of residues and subtracts drop times
-    the number in the falling window (see norm_steps); both windows slide
-    down one residue per step, so the counts are kept up to date from hist.
-    Every running sum starts at 0 * hist[0], so rows stay rows when a window
-    or the weight sum is empty (m = 1).
+    numpy row with one entry per vector; w weighs each residue.  Step x -> x+1
+    adds the slope sum_c hist[c] * step[(c + x) % m], step[j] = w[j+1] - w[j]
+    cyclically.  The slope changes only at the bends j, where step[j] !=
+    step[j-1]: by e_j = step[j] - step[j-1] for each of the hist[(j - x - 1) % m]
+    coordinates that reach j.  ONE and LEE have 2 or 3 bends, so a step costs
+    O(1) row operations, chained by itertools at C speed for an int list.
     """
     m = len(hist)
-    rise, fall, drop = norm_steps(m, kind)
-    zero = 0 * hist[0]
-    up, down = sum(hist[:rise], zero), sum(hist[m - fall:], zero)
-    weights = range(m) if kind is NormKind.ONE else (min(c, m - c) for c in range(m))
-    norms = sum((w * h for w, h in zip(weights, hist)), zero)
-    for x in range(m - 1):
-        yield norms
-        norms = norms + up - drop * down
-        up += hist[-x - 1] - hist[rise - x - 1]
-        down += hist[m - fall - x - 1] - hist[m - x - 1]
-    yield norms
+    step = list(map(sub, w[1:] + w[:1], w))
+    bends = [(j, e) for j, e in enumerate(map(sub, step, step[-1:] + step[:-1])) if e]
+    # at shift x the coordinates that reach bend j sit at residue j - x - 1
+    reach = [map(mul, repeat(e), chain(hist[j - 1::-1], hist[:j - 1:-1])) for j, e in bends]
+    turns = reduce(partial(map, add), reach) if reach else repeat(0)  # no bends: w is constant
+    slopes = accumulate(turns, initial=sum(map(mul, step, hist)))
+    return islice(accumulate(slopes, initial=sum(map(mul, w, hist))), m)
 
 
 def norm_sequence(v: ModVec, kind: NormKind) -> list[int]:
@@ -60,7 +47,7 @@ def norm_sequence(v: ModVec, kind: NormKind) -> list[int]:
     hist = [0] * v.modulus
     for c in v.coords:
         hist[c] += 1
-    return list(shift_norms(hist, kind))
+    return list(shift_norms(hist, weights(v.modulus, kind)))
 
 
 def is_admissible(v: ModVec, kind: NormKind) -> bool:

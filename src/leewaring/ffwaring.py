@@ -175,7 +175,7 @@ class FqField:
             raise ValueError("modulus must be monic of degree >= 1")
         cyclotomic = reduced == (1,) * r and r != p and _is_prime(r)
         if cyclotomic:
-            _require_primitive_root(p, r)
+            _require_primitive_root(p, r, proved=True)
         elif not _is_irreducible(reduced, p):
             raise ValueError(f"modulus {reduced} is reducible over Z/{p}Z")
         object.__setattr__(self, "cyclotomic_order", r if cyclotomic else None)
@@ -283,22 +283,30 @@ def _elements(f: FqField, ranks):
         yield a
 
 
-def is_primitive_root(p: int, r: int) -> bool:
-    """Whether the prime p generates (Z/rZ)*: p^((r-1)/l) != 1 mod r for each prime l | r-1."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if not _is_prime(r):
-        raise ValueError(f"{r} is not prime")
-    if p == r:
-        raise ValueError("p and r must be distinct primes")
+def _generates(p: int, r: int) -> bool:
+    """The order test for primes p != r: p^((r-1)/l) != 1 mod r for each prime l | r-1."""
     return all(pow(p, (r - 1) // ell, r) != 1 for ell in _prime_divisors(r - 1))
 
 
-def _require_primitive_root(p: int, r: int) -> None:
-    """Raise ValueError unless 1 + x + ... + x^{r-1} is irreducible mod p."""
+def is_primitive_root(p: int, r: int) -> bool:
+    """Whether the prime p generates (Z/rZ)*, by the order test."""
+    for n in (p, r):
+        if not _is_prime(n):
+            raise ValueError(f"{n} is not prime")
+    if p == r:
+        raise ValueError("p and r must be distinct primes")
+    return _generates(p, r)
+
+
+def _require_primitive_root(p: int, r: int, proved: bool = False) -> None:
+    """Raise ValueError unless 1 + x + ... + x^{r-1} is irreducible mod p.
+
+    proved says that p and r are already known to be distinct primes, so
+    only the order test runs.
+    """
     if r < 2:
         raise ValueError(f"order must be a prime >= 2, got {r}")
-    if not is_primitive_root(p, r):
+    if not (_generates(p, r) if proved else is_primitive_root(p, r)):
         raise ValueError(
             f"1 + x + ... + x^{r - 1} is reducible mod {p}: "
             f"{p} is not a primitive root modulo {r}"
@@ -538,8 +546,8 @@ def waring_report(
     return WaringReport(label, f.p, f.n, f.q, r, k, gcd(k, f.q - 1), computed, formula, match)
 
 
-def _budgeted_cyclotomic_field(p: int, r: int, budget: int) -> FqField:
-    """cyclotomic_field(p, r), refused before it is built when q exceeds the budget.
+def _verify_theorem(p: int, r: int, t: int, formula, label: str, budget: int) -> WaringReport:
+    """g((q-1)/(t*r), q) for q = p^(r-1) by sumset BFS, beside formula(p, r).
 
     The hypothesis is checked first and the budget next, except that a p
     over the budget is refused before its primality test, and a q that
@@ -549,7 +557,8 @@ def _budgeted_cyclotomic_field(p: int, r: int, budget: int) -> FqField:
     q = budgeted_power(p, max(r - 1, 0), budget, "field size")
     _require_primitive_root(p, r)
     _require_budget(q, budget)
-    return cyclotomic_field(p, r)
+    f = FqField(p, (1,) * r)
+    return waring_report(f, (q - 1) // (t * r), formula(p, r), r, label, budget)
 
 
 def verify_theorem1(p: int, r: int, budget: int = DEFAULT_FIELD_BUDGET) -> WaringReport:
@@ -558,9 +567,7 @@ def verify_theorem1(p: int, r: int, budget: int = DEFAULT_FIELD_BUDGET) -> Warin
     Needs p, r prime with p a primitive root modulo r.  Then gcd(p, r) = 1
     and the closed form is (p-1)(r-1)/2.
     """
-    f = _budgeted_cyclotomic_field(p, r, budget)
-    k = (f.q - 1) // r
-    return waring_report(f, k, g_bound(p, r), r, "g((q-1)/r, q)", budget)
+    return _verify_theorem(p, r, 1, g_bound, "g((q-1)/r, q)", budget)
 
 
 def verify_theorem2(p: int, r: int, budget: int = DEFAULT_FIELD_BUDGET) -> WaringReport:
@@ -572,9 +579,7 @@ def verify_theorem2(p: int, r: int, budget: int = DEFAULT_FIELD_BUDGET) -> Warin
     """
     if p == 2 or r == 2:
         raise ValueError("p and r must be odd primes")
-    f = _budgeted_cyclotomic_field(p, r, budget)
-    k = (f.q - 1) // (2 * r)
-    return waring_report(f, k, h_bound(p, r), r, "g((q-1)/(2r), q)", budget)
+    return _verify_theorem(p, r, 2, h_bound, "g((q-1)/(2r), q)", budget)
 
 
 def verify_remarks(p: int, budget: int = DEFAULT_FIELD_BUDGET) -> list[WaringReport]:

@@ -1,9 +1,10 @@
 """Vectors over Z/mZ and their two coordinate norms.
 
-Coordinates are stored canonically in [0, m).  The two norms are the sum
-of least residues (ONE) and the sum of distances to 0 on the m-cycle
-(LEE).  Everything is exact integer arithmetic on immutable values, so
-all operations are safe to call concurrently.
+Coordinates are stored canonically in [0, m).  The two norms sum the
+coordinates' weights: least residues (ONE) or distances to 0 on the
+m-cycle (LEE), listed by weights(m, kind).  Everything is exact integer
+arithmetic on immutable values, so all operations are safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ def norm(v: ModVec, kind: NormKind) -> int:
         return sum(v.coords)
     m = v.modulus
     return sum(min(c, m - c) for c in v.coords)
+
+
+def weights(m: int, kind: NormKind) -> list[int]:
+    """The weight of each residue 0, ..., m-1: c (ONE) or min(c, m - c) (LEE)."""
+    return list(range(m)) if kind is NormKind.ONE else list(map(min, range(m), range(m, 0, -1)))
 
 
 def shift(v: ModVec, x: int) -> ModVec:

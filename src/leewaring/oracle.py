@@ -6,8 +6,8 @@ line holds a vector with a coordinate 0, so the C(m+r-2, r-1) states
 {0} + S (S a multiset of r-1 residues) cover all m^(r-1) cosets; the
 answer is the max over states of the min over shifts.  Those norms come
 from admissible.shift_norms, the kernel behind every norm sequence, fed
-the states' residue histograms as numpy rows so that it steps them all
-at once.
+the norm's weight table and the states' residue histograms as numpy rows
+so that it steps them all at once.
 
 Witness: the lexicographically smallest sorted((s + x) mod m) over the
 maximal states s and their minimising shifts x, which is the smallest
@@ -28,7 +28,7 @@ from math import comb
 
 from .admissible import is_admissible, shift_norms
 from .errors import BudgetError, budgeted_power
-from .modring import ModVec, NormKind, norm
+from .modring import ModVec, NormKind, norm, weights
 
 DEFAULT_BUDGET = 10**7
 
@@ -71,10 +71,11 @@ def brute_max_admissible(
     hist = np.bincount(free * states + np.repeat(np.arange(states), r - 1), minlength=m * states)
     hist = hist.reshape(m, states)  # hist[c, s]: copies of residue c in state s
     hist[0] += 1
-    mins = reduce(np.minimum, shift_norms(hist, kind))
+    w = weights(m, kind)
+    mins = reduce(np.minimum, shift_norms(hist, w))
     best = int(mins.max())
     hist = hist[:, mins == best]
-    xs, ids = np.nonzero(np.array(list(shift_norms(hist, kind))) == best)
+    xs, ids = np.nonzero(np.array(list(shift_norms(hist, w))) == best)
     left = r  # the smallest sorted arrangement holds the most 0s, then the most 1s, ...
     for value in range(m):
         counts = hist[(value - xs) % m, ids]

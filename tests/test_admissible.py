@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from leewaring import (
@@ -17,6 +18,7 @@ from leewaring import (
     norm_sequence,
     shift,
 )
+from leewaring.admissible import shift_norms
 from vecgen import random_balanced, random_vec
 
 ONE, LEE = NormKind.ONE, NormKind.LEE
@@ -44,6 +46,23 @@ def test_norm_sequence_matches_shift_by_shift_reference():
             assert norm_sequence(v, kind) == ref, (v, kind)
             assert is_admissible(v, kind) == (ref[0] == min(ref))
             assert canonical_shift(v, kind)[0] == ref.index(min(ref))
+
+
+def test_shift_norms_matches_the_direct_sum_for_any_weight_table():
+    """Independent slow path: sum_c hist[c] * w[(c + x) % m] at every shift x,
+    for random integer tables (any w[0]) and both histogram forms."""
+    rng = random.Random(15)
+    for m in range(1, 13):
+        for w in [[rng.randint(-9, 9) for _ in range(m)] for _ in range(30)] + [[7] * m]:  # [7] * m has no bend
+            hist = [rng.randrange(6) for _ in range(m)]
+            want = [sum(hist[c] * w[(c + x) % m] for c in range(m)) for x in range(m)]
+            got = list(shift_norms(hist, w))
+            assert got == want and all(type(n) is int for n in got), (m, w, hist)
+            rows = np.array([[rng.randrange(6) for _ in range(5)] for _ in range(m)])
+            want = [[sum(int(rows[c, s]) * w[(c + x) % m] for c in range(m)) for s in range(5)] for x in range(m)]
+            got = list(shift_norms(rows, w))
+            assert all(n.shape == (5,) for n in got), m  # rows stay rows, also at m = 1
+            assert np.array(got).tolist() == want, (m, w)
 
 
 def test_is_admissible_examples():

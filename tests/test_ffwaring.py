@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import gc
@@ -36,6 +37,7 @@ from leewaring import (
 )
 from leewaring import ffwaring
 from leewaring.ffwaring import _MR_EXACT_BELOW, _is_prime, _mul, _pow, _sumset_levels
+from leewaring.modring import weights
 
 
 def _primitive_walk(f):
@@ -278,6 +280,42 @@ def test_cyclotomic_fields_skip_trial_division(monkeypatch):
     assert cyclotomic_field(3, 17).q == FqField(3, (1,) * 17).q == 3**16
     assert verify_theorem1(3, 5).match
     assert verify_theorem2(5, 7).match
+
+
+def test_the_field_gate_tests_each_prime_once(monkeypatch):
+    calls = collections.Counter()
+    is_prime, generates = ffwaring._is_prime, ffwaring._generates
+
+    def counted_is_prime(n):
+        calls[n] += 1
+        return is_prime(n)
+
+    def counted_walk(p, r):
+        calls["walk"] += 1
+        return generates(p, r)
+
+    monkeypatch.setattr(ffwaring, "_is_prime", counted_is_prime)
+    monkeypatch.setattr(ffwaring, "_generates", counted_walk)
+    FqField(3, (1,) * 5)
+    assert calls == {3: 1, 5: 1, "walk": 1}
+    for verify in (verify_theorem1, verify_theorem2):
+        calls.clear()
+        assert verify(3, 5).match
+        assert calls[3] <= 2 and calls[5] <= 2 and calls["walk"] == 2, (verify, calls)
+        assert set(calls) == {3, 5, "walk"}
+
+
+PRIMES_TO_43 = [n for n in range(44) if _is_prime(n)]
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_43)
+def test_prime_field_levels_are_the_norm_weights(p):
+    """Both sides of the reduction at n = 1, where rank is residue: the Waring
+    levels of k = (p-1)/t in F_p are the ONE (t = 1) and LEE (t = 2) weights."""
+    f = FqField(p, (0, 1))
+    assert _sumset_levels(f, p - 1)[0].tolist() == weights(p, NormKind.ONE)
+    if p > 2:
+        assert _sumset_levels(f, (p - 1) // 2)[0].tolist() == weights(p, NormKind.LEE)
 
 
 def test_field_arithmetic_basics():

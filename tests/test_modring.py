@@ -11,6 +11,7 @@ from leewaring import (
     norm,
     shift,
 )
+from leewaring.modring import weights
 from vecgen import random_vec
 
 ONE, LEE = NormKind.ONE, NormKind.LEE
@@ -103,6 +104,17 @@ def test_shift_lee_parity_congruence_even_modulus():
 def test_weight_sum_over_ring(m):
     total = sum(abs_least_residue(x, m) for x in range(m))
     assert total == (m * m // 4 if m % 2 == 0 else (m * m - 1) // 4)
+
+
+def test_weight_tables_sum_to_the_norms():
+    rng = random.Random(15)
+    assert weights(5, ONE) == [0, 1, 2, 3, 4] and weights(5, LEE) == [0, 1, 2, 2, 1]
+    assert weights(1, ONE) == weights(1, LEE) == [0]
+    for _ in range(300):
+        m = rng.randrange(1, 30)
+        v = random_vec(rng, m, rng.randrange(0, 8))
+        for kind in (ONE, LEE):
+            assert sum(weights(m, kind)[c] for c in v.coords) == norm(v, kind)
 
 
 def test_mirror_identity_even_modulus():

@@ -1,9 +1,14 @@
 import pytest
 
 import leewaring
-from leewaring import construct, modring, oracle
+from leewaring import admissible, construct, ffwaring, modring, oracle
 
-DELETED = ("optimal_pair", "double_embed", "least_residue", "all_ones", "brute_covering_radius")
+# norm_steps became the bends of a weight table inside shift_norms, and
+# _budgeted_cyclotomic_field folded into the one theorem path
+DELETED = (
+    "optimal_pair", "double_embed", "least_residue", "all_ones", "brute_covering_radius",
+    "norm_steps", "_budgeted_cyclotomic_field",
+)
 # (class, attribute): a method folded into what it wrapped (FqField.rank(a) is a.rank),
 # ModVec.dim, which nothing read (len(v) gives it), and FqElem's arithmetic operators,
 # which only tests used (they use _mul and _pow now)
@@ -23,7 +28,7 @@ def test_deleted_names_are_gone(name):
     assert name not in leewaring.__all__
     with pytest.raises(ImportError):
         exec(f"from leewaring import {name}", {})
-    for module in (construct, modring, oracle):
+    for module in (admissible, construct, ffwaring, modring, oracle):
         assert not hasattr(module, name), (module.__name__, name)
 
 
