@@ -12,7 +12,7 @@ from .admissible import (
     m_sequence,
     norm_sequence,
 )
-from .bounds import BoundCase, band_c, bound_case, covering_radius, g_bound, h_bound
+from .bounds import BoundCase, band_c, bound_case, g_bound, h_bound
 from .construct import (
     MDiffPlan,
     construct_even_dim,
@@ -75,7 +75,6 @@ __all__ = [
     "construct_max_lee",
     "construct_max_norm1",
     "construct_odd_modulus",
-    "covering_radius",
     "cyclotomic_field",
     "extremal_values",
     "find_irreducible",

@@ -79,11 +79,3 @@ def band_c(m: int, r: int) -> int:
         raise ValueError(f"band width needs r <= 2m, got r={r}, m={m}")
     return m * r // 2 - 2 * h_bound(m, r)
 
-
-def covering_radius(m: int, r: int) -> int:
-    """Largest Lee distance from any vector of (Z/mZ)^r to the line (Z/mZ)e.
-
-    This is h_bound(m, r) for every m: at m = 2 it coincides with
-    g_bound(m, r), and at m = 1 both are 0.
-    """
-    return h_bound(m, r)

@@ -126,7 +126,7 @@ def cmd_bounds(args) -> int:
             "g": bnd.g_bound(m, r),
             "h": bnd.h_bound(m, r),
             "case": bnd.bound_case(m, r).value,
-            "rho": bnd.covering_radius(m, r),
+            "rho": bnd.h_bound(m, r),
         }
         for m in args.m
         for r in args.r

@@ -22,10 +22,11 @@ mod p to the digits of a whole frontier at once, and the result is a
 numpy level array indexed by rank.  Each FqField holds the level arrays
 it has computed, keyed by the exponent as given and by the reduced one,
 so a table lives exactly as long as its field and a repeated read costs
-one dict lookup.  A kept table is read through a read-only memoryview of
-its int32 array, so per_element_length's read by rank is one C-level index
-that returns an int; pickle and deepcopy carry the array and rebuild the
-view.
+one dict lookup.  When gcd(k, q-1) = 1 every element is a k-th power, so
+the table is 0 at rank 0 and 1 elsewhere, g = 1, with no power set and no
+BFS.  A kept table is read through a read-only memoryview of its int32
+array, so per_element_length's read by rank is one C-level index that
+returns an int; pickle and deepcopy carry the array and rebuild the view.
 
 Elements are built at the edge only.  kth_power_set returns ranks, and
 the BFS and the table reads run on ranks, so no FqElem is built on the way
@@ -152,9 +153,10 @@ class FqField:
     modulus 1 + x + ... + x^{r-1}, r a prime other than p, is irreducible
     exactly when p is a primitive root modulo r; that criterion replaces
     the trial division any other modulus gets, cyclotomic_order is r (else
-    None) and gen() is a primitive r-th root of unity.  Only p and the
-    modulus take part in eq, hash and repr; q, the place values p^i of the
-    rank digits (a.rank reads an element's) and the level tables do not.
+    None) and the class of x is a primitive r-th root of unity.  Only p
+    and the modulus take part in eq, hash and repr; q, the place values
+    p^i of the rank digits (a.rank reads an element's) and the level
+    tables do not.
     """
 
     p: int
@@ -197,32 +199,6 @@ class FqField:
     @property
     def n(self) -> int:
         return len(self.modulus) - 1
-
-    def element(self, coeffs) -> FqElem:
-        """The element with these coefficients (constant first); the one place digits become a rank."""
-        c = tuple(coeffs)
-        if len(c) > self.n:
-            raise ValueError(f"too many coefficients for degree {self.n}")
-        p = self.p
-        return FqElem(self, sum(x % p * v for x, v in zip(c, self._place)))
-
-    def zero(self) -> FqElem:
-        return FqElem(self, 0)
-
-    def one(self) -> FqElem:
-        return FqElem(self, 1)
-
-    def gen(self) -> FqElem:
-        """The residue class of x (equals -modulus[0] when n = 1)."""
-        if self.n == 1:
-            return self.element((-self.modulus[0],))
-        return self.element((0, 1))
-
-    def from_rank(self, t: int) -> FqElem:
-        """Element with coefficient digits of t in base p (constant first)."""
-        if not 0 <= t < self.q:
-            raise ValueError(f"rank {t} outside [0, {self.q})")
-        return FqElem(self, t)
 
     def elements(self):
         """All q elements, in rank order, built lazily."""
@@ -408,6 +384,11 @@ def _sumset_levels(f: FqField, k_red: int):
     import numpy as np
 
     p, n, q = f.p, f.n, f.q
+    if k_red == 1:  # every element is a first power: no set, no sort, no BFS
+        levels = np.ones(q, dtype=np.int32)
+        levels[0] = 0
+        levels.flags.writeable = False
+        return levels, 1
     powers = kth_power_set(f, k_red)  # rebinding it frees the set before the BFS
     powers = np.sort(np.fromiter(powers, np.int64, len(powers)))[1:]  # 0 sorts first
     power_digits = _digits(powers, p, n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from operator import index
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class NormKind(enum.Enum):
@@ -53,12 +53,6 @@ class ModVec:
 
     def __len__(self) -> int:
         return len(self.coords)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coords)
-
-    def __str__(self) -> str:
-        return "(%s) mod %d" % (",".join(map(str, self.coords)), self.modulus)
 
 
 def norm(v: ModVec, kind: NormKind) -> int:

@@ -169,12 +169,12 @@ def test_bounds_streams_its_table(fmt):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    g, h, rho = bnd.g_bound(top, top), bnd.h_bound(top, top), bnd.covering_radius(top, top)
+    g, h = bnd.g_bound(top, top), bnd.h_bound(top, top)  # rho, the covering radius, is h
     case = bnd.bound_case(top, top).value
     last = {
-        "csv": f"\n{top},{top},{g},{h},{case},{rho}\n",
-        "text": f"\n {top}  {top} {g:>8} {h:>8} {case:>14} {rho:>8}\n",
-        "json": f'\n    "h": {h},\n    "case": "{case}",\n    "rho": {rho}\n  }}\n]\n',
+        "csv": f"\n{top},{top},{g},{h},{case},{h}\n",
+        "text": f"\n {top}  {top} {g:>8} {h:>8} {case:>14} {h:>8}\n",
+        "json": f'\n    "h": {h},\n    "case": "{case}",\n    "rho": {h}\n  }}\n]\n',
     }[fmt]
     # json: "[", eight lines a row ("{", six keys, "}"), then "]"
     assert code == 0 and sink.lines == (2 + 8 * top * top if fmt == "json" else 1 + top * top)

@@ -40,16 +40,21 @@ from leewaring.ffwaring import _MR_EXACT_BELOW, _is_prime, _mul, _pow, _sumset_l
 from leewaring.modring import weights
 
 
+def _elem(f, coeffs):
+    """The element of f with these coefficients (constant first), digits taken mod p."""
+    return FqElem(f, sum(c % f.p * v for c, v in zip(coeffs, f._place)))
+
+
 def _primitive_walk(f):
     """Independent slow path: g^0, ..., g^(q-2) as coefficient tuples, for the
     first g in rank order whose successive products reach 1 only after q-1 steps."""
-    one = f.one().coeffs
+    one = FqElem(f, 1).coeffs
     for t in range(1, f.q):
-        a = f.from_rank(t)
-        walk, x = [one], a.coeffs
+        a = FqElem(f, t).coeffs
+        walk, x = [one], a
         while x != one:
             walk.append(x)
-            x = _mul(f, x, a.coeffs)
+            x = _mul(f, x, a)
         if len(walk) == f.q - 1:
             return walk
 
@@ -165,7 +170,7 @@ def test_field_gate_reads_the_cyclotomic_order_off_the_modulus():
     f = FqField(3, (1,) * 5)
     assert f == cyclotomic_field(3, 5) and hash(f) == hash((3, (1,) * 5))
     assert repr(f) == "FqField(p=3, modulus=(1, 1, 1, 1, 1))" and f.cyclotomic_order == 5
-    assert per_element_length(cyclotomic_field(3, 5), 16, f.gen()) == 1
+    assert per_element_length(cyclotomic_field(3, 5), 16, FqElem(f, 3)) == 1  # xi, rank p
     assert FqField(3, (4, 7, 1, -2, 10)).cyclotomic_order == 5  # read off the reduced modulus
     # r = p and a composite r are not cyclotomic shapes: trial division decides
     assert FqField(2, (1, 1)).cyclotomic_order is None  # x + 1 over F_2
@@ -320,26 +325,24 @@ def test_prime_field_levels_are_the_norm_weights(p):
 
 def test_field_arithmetic_basics():
     f = cyclotomic_field(2, 5)  # F_16 with xi^4 = 1 + xi + xi^2 + xi^3
-    xi = f.gen().coeffs
-    assert _pow(f, xi, 5) == f.one().coeffs  # fifth root of unity
-    assert f.element(_pow(f, xi, 4)) == f.element((1, 1, 1, 1))
+    xi, one = (0, 1, 0, 0), FqElem(f, 1).coeffs
+    assert _pow(f, xi, 5) == one == (1, 0, 0, 0)  # fifth root of unity
+    assert _pow(f, xi, 4) == (1, 1, 1, 1)
     assert _mul(f, xi, xi) == _pow(f, xi, 2) == (0, 0, 1, 0)
-    assert _pow(f, xi, 0) == f.one().coeffs
-    a = f.element((1, 0, 1))
-    assert f.element(2 * c for c in a.coeffs) == f.zero()  # a + a = 0 in characteristic 2
-    assert f.from_rank(11).rank == 11
+    assert _pow(f, xi, 0) == one
+    assert FqElem(f, 11).coeffs == (1, 1, 0, 1)
     assert len(list(f.elements())) == 16
 
 
 def test_element_repr_shows_its_coefficients():
-    assert repr(cyclotomic_field(3, 5).gen()) == (
+    assert repr(FqElem(cyclotomic_field(3, 5), 3)) == (
         "FqElem(field=FqField(p=3, modulus=(1, 1, 1, 1, 1)), coeffs=(0, 1, 0, 0))"
     )
 
 
 def test_elements_are_frozen_and_survive_pickle_and_deepcopy():
     f = cyclotomic_field(3, 5)
-    a = f.element((2, 0, 1, 1))
+    a = _elem(f, (2, 0, 1, 1))
     assert waring_number(f, 16) == 4  # the copies carry a level table too
     for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
         assert b == a and hash(b) == hash(a) and b.coeffs == (2, 0, 1, 1)
@@ -372,40 +375,36 @@ def test_factory_built_elements_match_constructed_ones():
 
 def test_every_route_to_an_element_gives_the_same_element():
     f, g = cyclotomic_field(3, 5), cyclotomic_field(3, 5)
-    one, xi = f.one().coeffs, f.gen().coeffs
+    one, xi = FqElem(f, 1).coeffs, FqElem(f, 3).coeffs
     xi3 = _pow(f, xi, 3)
     coeffs = (2, 1, 0, 2)  # 2 + xi + 2 xi^3
     t = 2 + 3 + 2 * 27
-    total = tuple(map(sum, zip(one, one, xi, xi3, xi3)))  # f.element reduces the digits mod p
+    total = tuple(map(sum, zip(one, one, xi, xi3, xi3)))
     routes = [
-        f.element(coeffs),
-        f.element((5, 4, 3, -1)),  # digits taken mod p
-        f.from_rank(t),
+        _elem(f, coeffs),
+        FqElem(f, t),
         list(f.elements())[t],
-        f.element(total),
-        f.element(_mul(f, _mul(f, total, xi), _pow(f, xi, 4))),  # xi^5 = 1
-        f.element(_mul(f, _mul(f, _pow(f, xi, 6), coeffs), _pow(f, xi, 4))),  # xi^10 = 1
-        g.element(coeffs),
-        g.from_rank(t),
+        _elem(f, total),
+        _elem(f, _mul(f, _mul(f, total, xi), _pow(f, xi, 4))),  # xi^5 = 1
+        _elem(f, _mul(f, _mul(f, _pow(f, xi, 6), coeffs), _pow(f, xi, 4))),  # xi^10 = 1
+        _elem(g, coeffs),
+        FqElem(g, t),
         list(g.elements())[t],
     ]
     for a in routes:
         assert a == routes[0] and hash(a) == hash(routes[0])
         assert a.coeffs == coeffs and a.rank == t
-    assert f.element(coeffs) == FqField(3, (1, 1, 1, 1, 1)).element(coeffs)  # the modulus fixes the field
+    assert FqElem(f, t) == FqElem(FqField(3, (1, 1, 1, 1, 1)), t)  # the modulus fixes the field
 
 
 def test_an_element_is_false_only_at_rank_zero():
     f = cyclotomic_field(2, 5)
-    assert [t for t in range(f.q) if not f.from_rank(t)] == [0]
-    xi = f.gen().coeffs
-    assert not f.zero() and not f.element(_mul(f, xi, (0,) * f.n)) and f.one()
-    assert f.element(_pow(f, xi, 5)) and not f.element(x - y for x, y in zip(xi, xi))
+    assert [t for t in range(f.q) if not FqElem(f, t)] == [0]
 
 
 def test_kth_power_set_examples():
     f4 = cyclotomic_field(2, 3)
-    assert {f4.from_rank(t).coeffs for t in kth_power_set(f4, 3)} == {(0, 0), (1, 0)}
+    assert {FqElem(f4, t).coeffs for t in kth_power_set(f4, 3)} == {(0, 0), (1, 0)}
     f5 = FqField(5, find_irreducible(5, 1))
     assert kth_power_set(f5, 2) == frozenset({0, 1, 4})
     assert kth_power_set(f5, 1) == kth_power_set(f5, 3) == frozenset(range(5))
@@ -422,14 +421,14 @@ def test_kth_power_set_matches_direct_powers():
     for f in (FqField(7, find_irreducible(7, 1)), cyclotomic_field(3, 5), FqField(3, (1, 0, 1))):
         for _ in range(5):
             k = rng.randrange(1, 50)
-            direct = {f.element(_pow(f, a.coeffs, k)).rank for a in f.elements()}
+            direct = {_elem(f, _pow(f, a.coeffs, k)).rank for a in f.elements()}
             assert kth_power_set(f, k) == direct
             assert len(direct) == 1 + (f.q - 1) // gcd(k, f.q - 1)
     # every subgroup order d | q - 1, from d = q - 1 (48 = 2^4 * 3, 63 = 3^2 * 7) down to d = 1
     for f in (FqField(7, find_irreducible(7, 2)), FqField(2, find_irreducible(2, 6))):
         for k in range(1, f.q):
             if (f.q - 1) % k == 0:
-                direct = {f.element(_pow(f, a.coeffs, k)).rank for a in f.elements()}
+                direct = {_elem(f, _pow(f, a.coeffs, k)).rank for a in f.elements()}
                 assert kth_power_set(f, k) == direct
                 assert len(direct) == 1 + (f.q - 1) // k
 
@@ -476,25 +475,25 @@ def test_waring_number_is_gcd_invariant():
 
 def test_per_element_length_examples():
     f5 = FqField(5, find_irreducible(5, 1))
-    assert per_element_length(f5, 2, f5.element((3,))) == 2  # 3 = 4 + 4
-    assert per_element_length(f5, 2, f5.zero()) == 0
+    assert per_element_length(f5, 2, FqElem(f5, 3)) == 2  # 3 = 4 + 4
+    assert per_element_length(f5, 2, FqElem(f5, 0)) == 0
     f81 = cyclotomic_field(3, 5)
-    assert per_element_length(f81, 16, f81.gen()) == 1
+    assert per_element_length(f81, 16, FqElem(f81, 3)) == 1  # xi
     f4 = cyclotomic_field(2, 3)
     with pytest.raises(ValueError):
-        per_element_length(f4, 3, f4.one())
+        per_element_length(f4, 3, FqElem(f4, 1))
 
 
 def test_per_element_length_rejects_foreign_elements():
     f81 = cyclotomic_field(3, 5)
     other81 = FqField(3, find_irreducible(3, 4))  # same q, another modulus
     with pytest.raises(ValueError, match="different field"):
-        per_element_length(f81, 16, other81.gen())
+        per_element_length(f81, 16, FqElem(other81, 3))
     f625 = FqField(5, find_irreducible(5, 4))
     with pytest.raises(ValueError, match="different field"):
-        per_element_length(f81, 16, f625.gen())
+        per_element_length(f81, 16, FqElem(f625, 5))
     # an equal field built separately is the same field
-    assert per_element_length(f81, 16, cyclotomic_field(3, 5).gen()) == 1
+    assert per_element_length(f81, 16, FqElem(cyclotomic_field(3, 5), 3)) == 1
 
 
 @pytest.mark.parametrize(
@@ -514,13 +513,10 @@ def test_elements_run_in_rank_order(field):
     p, n = f.p, f.n
     assert f.q == p**n
     elements = list(f.elements())
-    assert elements == [f.from_rank(t) for t in range(f.q)]
+    assert elements == [FqElem(f, t) for t in range(f.q)]
     sample = range(f.q) if f.q <= 2401 else random.Random(17).sample(range(f.q), 400)
     for t in sample:
         assert elements[t].coeffs == tuple(t // p**i % p for i in range(n))
-        assert f.from_rank(t).rank == t
-    with pytest.raises(ValueError, match="outside"):
-        f.from_rank(f.q)
 
 
 def test_separately_built_fields_are_equal():
@@ -555,7 +551,7 @@ def test_powers_tables_and_reads_build_no_element(monkeypatch):
         raise AssertionError("an FqElem was built")
 
     read = cyclotomic_field(3, 5)
-    a = read.gen()  # the element to read is built before the patch
+    a = FqElem(read, 3)  # the element to read is built before the patch
     monkeypatch.setattr(ffwaring, "FqElem", refuse)
     monkeypatch.setattr(ffwaring, "_elements", refuse)
     f = cyclotomic_field(3, 5)  # fresh: no kept table
@@ -566,7 +562,7 @@ def test_powers_tables_and_reads_build_no_element(monkeypatch):
 
 def test_a_kept_table_still_gets_every_check():
     f = cyclotomic_field(3, 5)
-    a = f.gen()
+    a = FqElem(f, 3)
     for _ in range(2):  # the first round computes the table, the second reads it
         for k in (16, 48):  # gcd(48, 80) = 16
             assert waring_number(f, k) == waring_number(f, gcd(k, f.q - 1)) == 4
@@ -585,12 +581,12 @@ def test_a_kept_table_still_gets_every_check():
                 per_element_length(f, bad, a, budget=80)  # k before the budget
         for k in (16, 16.0, 0):  # the field before k
             with pytest.raises(ValueError, match="different field"):
-                per_element_length(f, k, FqField(3, find_irreducible(3, 4)).gen())
+                per_element_length(f, k, FqElem(FqField(3, find_irreducible(3, 4)), 3))
     f4 = cyclotomic_field(2, 3)
     with pytest.raises(ValueError, match="do not span"):
-        per_element_length(f4, 3, f4.one())
+        per_element_length(f4, 3, FqElem(f4, 1))
     with pytest.raises(BudgetError):  # the budget before g is None, with the table kept
-        per_element_length(f4, 3, f4.one(), budget=3)
+        per_element_length(f4, 3, FqElem(f4, 1), budget=3)
 
 
 @pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (7, 2), (43, 2), (13, 1)])
@@ -603,7 +599,7 @@ def test_the_kept_table_read_matches_the_level_array(p, n):
         levels, g = _sumset_levels(f, gcd(k, f.q - 1))
         if g is None:
             with pytest.raises(ValueError, match="do not span"):
-                per_element_length(f, k, f.one())
+                per_element_length(f, k, FqElem(f, 1))
             continue
         spanned.append(k)
         for a in f.elements():
@@ -620,20 +616,40 @@ def test_the_kept_table_read_matches_the_level_array(p, n):
             ]
 
 
-# The power array is sorted in numpy from the set of ranks, which is freed
-# before the BFS.  Sorting the set in Python (a second q-sized set, then a
-# list) peaked at 7.99 MiB here, and keeping the set alive through the BFS
-# at 6.81 MiB; the numpy sort peaks at 5.00 MiB (numpy 2.4, Python 3.11).
-# The bound sits midway between 5.00 and 7.99.
-def test_first_powers_of_F_2_16_are_sorted_without_a_second_set():
-    f = FqField(2, find_irreducible(2, 16))
+def _peak_of_waring_number(f, k):
     tracemalloc.start()
     try:
-        assert waring_number(f, 1) == 1
-        peak = tracemalloc.get_traced_memory()[1]
+        return waring_number(f, k), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6.5 * 2**20, peak
+
+
+# Sorting the first powers' set in numpy peaked here at 5.00 MiB, and in
+# Python (a second q-sized set, then a list) at 7.99 MiB (numpy 2.4, Python
+# 3.11); the bound sits midway.  The k = 1 table now needs no set (0.25 MiB).
+def test_first_powers_of_F_2_16_are_sorted_without_a_second_set():
+    g, peak = _peak_of_waring_number(FqField(2, find_irreducible(2, 16)), 1)
+    assert g == 1 and peak < 6.5 * 2**20, peak
+
+
+# Bounds midway between this code and a regression (numpy 2.4, Python 3.11).
+# Squares of F_65537: the set sorted in numpy, then freed, peaks at 4.25 MiB;
+# sorted in Python 5.00 MiB, kept alive through the BFS 5.90 MiB.  First
+# powers of F_{3^12}: the table is 2.0 MiB, building the set 40 MiB.
+@pytest.mark.parametrize("p,n,k,g,bound", [(65537, 1, 2, 2, 4.6), (3, 12, 1, 1, 4)])
+def test_tables_peak_under_their_memory_bounds(p, n, k, g, bound):
+    got, peak = _peak_of_waring_number(FqField(p, find_irreducible(p, n)), k)
+    assert got == g and peak < bound * 2**20, peak
+
+
+# The tuple-BFS grid test checks the k = 1 table on every reference field
+def test_first_power_table_builds_no_power_set(monkeypatch):
+    monkeypatch.setattr(ffwaring, "kth_power_set", None)
+    for p, n in [(2, 1), (13, 1), (2, 4), (3, 3), (7, 3)]:
+        f = FqField(p, find_irreducible(p, n))
+        levels, g = _sumset_levels(f, 1)
+        assert (g, levels.tolist(), levels.flags.writeable) == (1, [0] + [1] * (f.q - 1), False)
+        assert waring_number(f, f.q) == 1  # gcd(q, q-1) = 1
 
 
 def test_level_tables_live_with_their_field():
@@ -641,15 +657,11 @@ def test_level_tables_live_with_their_field():
     # equal fields would have to hold this very object
     f = FqField(3, (2, 2, 0, 1))
     assert waring_number(f, 2) == 2
-    assert per_element_length(f, 6, f.gen()) == per_element_length(f, 6, f.gen())  # gcd(6, 26) = 2
+    assert per_element_length(f, 6, FqElem(f, 3)) == per_element_length(f, 6, FqElem(f, 3))  # gcd(6, 26) = 2
     ref = weakref.ref(f)
     del f
     gc.collect()
     assert ref() is None
-
-
-def _rank(coeffs, p):
-    return sum(c * p**i for i, c in enumerate(coeffs))
 
 
 @pytest.mark.parametrize("p,n", BFS_GRID)
@@ -660,11 +672,11 @@ def test_rank_bfs_matches_tuple_bfs(p, n):
         if (f.q - 1) % k_red:
             continue
         powers = [(0,) * n] + walk[::k_red]  # 0 and the subgroup of order (q-1)/k_red
-        assert set(kth_power_set(f, k_red)) == {_rank(c, p) for c in powers}
+        assert set(kth_power_set(f, k_red)) == {_elem(f, c).rank for c in powers}
         ref, ref_g = _reference_levels(f, powers)
         want = np.full(f.q, -1)
         for coeffs, level in ref.items():
-            want[_rank(coeffs, p)] = level
+            want[_elem(f, coeffs).rank] = level
         levels, g = _sumset_levels(f, k_red)
         assert g == ref_g == waring_number(f, k_red), (p, n, k_red)
         assert np.array_equal(levels, want), (p, n, k_red)
@@ -672,17 +684,25 @@ def test_rank_bfs_matches_tuple_bfs(p, n):
 
 def test_to_coset_vector_examples():
     f4 = cyclotomic_field(2, 3)
-    assert to_coset_vector(f4.zero()) == ModVec(2, (0, 0, 0))
-    assert to_coset_vector(f4.gen()) == ModVec(2, (0, 1, 0))
+    assert to_coset_vector(FqElem(f4, 0)) == ModVec(2, (0, 0, 0))
+    assert to_coset_vector(FqElem(f4, 2)) == ModVec(2, (0, 1, 0))  # xi, rank p
     f16 = cyclotomic_field(2, 5)
-    xi = f16.gen().coeffs
-    assert to_coset_vector(f16.element(map(sum, zip(xi, _pow(f16, xi, 3))))) == ModVec(2, (0, 1, 0, 1, 0))
-    assert to_coset_vector(f16.element(_pow(f16, xi, 4))) == ModVec(2, (1, 1, 1, 1, 0))  # xi^4 = -(1 + ... + xi^3)
+    xi = FqElem(f16, 2).coeffs
+    assert to_coset_vector(_elem(f16, map(sum, zip(xi, _pow(f16, xi, 3))))) == ModVec(2, (0, 1, 0, 1, 0))
+    assert to_coset_vector(_elem(f16, _pow(f16, xi, 4))) == ModVec(2, (1, 1, 1, 1, 0))  # xi^4 = -(1 + ... + xi^3)
     f4 = FqField(2, find_irreducible(2, 2))  # 1 + x + x^2: cyclotomic by its modulus
-    assert f4 == cyclotomic_field(2, 3) and to_coset_vector(f4.gen()) == ModVec(2, (0, 1, 0))
+    assert f4 == cyclotomic_field(2, 3) and to_coset_vector(FqElem(f4, 2)) == ModVec(2, (0, 1, 0))
     plain = FqField(2, (1, 1, 0, 1))  # 1 + x + x^3
     with pytest.raises(ValueError, match="cyclotomic-basis"):
-        to_coset_vector(plain.one())
+        to_coset_vector(FqElem(plain, 1))
+
+
+# t = p-1 makes the coordinate weight Hamming's: g((q-1)/((p-1)r), q) = r - ceil(r/p)
+# at every cyclotomic setting with p <= 13 and q <= 2*10^5
+@pytest.mark.parametrize("p,r", [(2, 3), (2, 5), (2, 11), (2, 13), (3, 5), (3, 7), (5, 3), (5, 7), (7, 5), (11, 3), (13, 5)])
+def test_hamming_weight_closed_form(p, r):
+    f = FqField(p, (1,) * r)
+    assert waring_number(f, (f.q - 1) // ((p - 1) * r)) == r - (r + p - 1) // p
 
 
 @pytest.mark.parametrize("p,r,want", [(2, 3, 1), (3, 5, 4), (5, 3, 4)])
@@ -789,5 +809,5 @@ def test_every_per_element_length_of_F_37_4_peaks_at_72():
     k = (f.q - 1) // 5
     assert max(per_element_length(f, k, a) for a in f.elements()) == 72
     for t in random.Random(37).sample(range(f.q), 300):
-        a = f.from_rank(t)
+        a = FqElem(f, t)
         assert per_element_length(f, k, a) == _min_coset_norm(to_coset_vector(a), NormKind.ONE)
