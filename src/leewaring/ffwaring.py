@@ -15,8 +15,8 @@ minimal power-sum representations to minimal-in-coset residue vectors.
 The nonzero k-th powers are the cyclic subgroup of F* of order
 d = (q-1)/gcd(k, q-1), listed as the powers of one element of order d.
 The scan for that element starts at rank p, outside the prime field, and
-the powers are listed by doubling: the digit rows of b^0..b^(m-1) times
-the multiply-by-b^m matrix mod p give the next m rows in one product.
+the powers are listed by doubling into one array of exactly d digit rows,
+filled in place, whose ranks come back as one sorted array, 0 first.
 The sumset BFS works on element ranks: adding a power adds its digits
 mod p to the digits of a whole frontier at once, and the result is a
 numpy level array indexed by rank.  Each FqField holds the level arrays
@@ -28,10 +28,9 @@ BFS.  A kept table is read through a read-only memoryview of its int32
 array, so per_element_length's read by rank is one C-level index that
 returns an int; pickle and deepcopy carry the array and rebuild the view.
 
-Elements are built at the edge only.  kth_power_set returns ranks, and
-the BFS and the table reads run on ranks, so no FqElem is built on the way
-to a Waring number.  FqElem(f, t) builds one element; elements() builds
-them all, lazily, without the frozen dataclass __init__.
+Elements are built at the edge only: the powers, the BFS and the table
+reads run on ranks, so no FqElem is built on the way to a Waring number.
+elements() builds them all lazily, without the frozen dataclass __init__.
 
 For q = p^(r-1) the reduction to residue vectors makes the theorems' Waring
 numbers the coset maxima of bounds: g((q-1)/r, q) = g_bound(p, r) and
@@ -90,13 +89,15 @@ def _require_budget(q: int, budget: int) -> None:
 
 
 def _prime_divisors(n: int):
-    """The prime divisors of n in increasing order, found lazily by trial division."""
+    """The prime divisors of n in increasing order, by trial division until the rest is prime."""
     f = 2
     while f * f <= n:
         if n % f == 0:
             yield f
             while n % f == 0:
                 n //= f
+            if (f + 1) ** 2 <= n < _MR_EXACT_BELOW and _is_prime(n):
+                break
         f += 1
     if n > 1:
         yield n
@@ -315,8 +316,8 @@ def _times_matrix(f: FqField, c: tuple[int, ...]) -> list[tuple[int, ...]]:
     return rows
 
 
-def kth_power_set(f: FqField, k: int) -> frozenset[int]:
-    """The ranks of {x^k : x in F}: 0 plus the cyclic subgroup of F* of index gcd(k, q-1).
+def kth_power_set(f: FqField, k: int):
+    """The sorted ranks of {x^k : x in F}: 0, then the cyclic subgroup of F* of index gcd(k, q-1).
 
     That subgroup has order d = (q-1)/gcd(k, q-1) and consists of the
     gcd(k, q-1)-th powers.  A power b = a^gcd(k, q-1) with b^(d/l) != 1 for
@@ -326,11 +327,10 @@ def kth_power_set(f: FqField, k: int) -> frozenset[int]:
     d | p-1, and for n > 1 a primitive element outside F_p always does.
     Each candidate's digits are read off its rank; no FqElem is built.
 
-    The d powers are listed by doubling: the digit rows of b^0..b^(m-1)
-    times M(b^m) mod p are the rows of b^m..b^(2m-1), and the ranks are the
-    rows times the place values.  The arithmetic is int64 while no sum can
-    reach 2^63, and Python ints beyond that, so it stays exact.  When
-    gcd(k, q-1) = 1 every element is a k-th power and the set is range(q).
+    The d powers are listed by doubling into one array of exactly d digit
+    rows, filled in place: rows 0..m-1 times M(b^m) mod p are the rows of
+    b^m..b^(2m-1), cut at row d.  The arithmetic is int64 while no sum can
+    reach 2^63, and Python ints beyond that; gcd(k, q-1) = 1 gives arange(q).
     """
     import numpy as np
 
@@ -339,7 +339,7 @@ def kth_power_set(f: FqField, k: int) -> frozenset[int]:
     p, n, q = f.p, f.n, f.q
     k_red = gcd(k, q - 1)
     if k_red == 1:
-        return frozenset(range(q))
+        return np.arange(q)
     d = (q - 1) // k_red
     cofactors = [d // ell for ell in _prime_divisors(d)]
     one = (1,) + (0,) * (n - 1)
@@ -348,13 +348,14 @@ def kth_power_set(f: FqField, k: int) -> frozenset[int]:
         if all(_pow(f, b, c) != one for c in cofactors):
             break
     dtype = np.int64 if max(n * (p - 1) ** 2, q - 1) < 2**63 else object
-    rows = np.array([one], dtype=dtype)
-    while len(rows) < d:
-        step = np.array(_times_matrix(f, b), dtype=dtype)
-        rows = np.concatenate((rows, rows @ step % p))
-        b = _mul(f, b, b)
-    ranks = rows[:d] @ np.array(f._place, dtype=dtype)
-    return frozenset([0, *ranks.tolist()])
+    rows = np.empty((d, n), dtype=dtype)
+    rows[0], m = one, 1
+    while m < d:
+        block = rows[m : 2 * m]
+        np.matmul(rows[: len(block)], np.array(_times_matrix(f, b), dtype=dtype), out=block)
+        block %= p
+        b, m = _mul(f, b, b), 2 * m
+    return np.sort(np.concatenate(([0], rows @ np.array(f._place, dtype=dtype))))
 
 
 def _digits(ranks, p: int, n: int) -> list:
@@ -389,8 +390,7 @@ def _sumset_levels(f: FqField, k_red: int):
         levels[0] = 0
         levels.flags.writeable = False
         return levels, 1
-    powers = kth_power_set(f, k_red)  # rebinding it frees the set before the BFS
-    powers = np.sort(np.fromiter(powers, np.int64, len(powers)))[1:]  # 0 sorts first
+    powers = kth_power_set(f, k_red)[1:].astype(np.int64, copy=False)  # an index dtype, also for object rows
     power_digits = _digits(powers, p, n)
     levels = np.full(q, -1, dtype=np.int32)
     levels[0] = 0

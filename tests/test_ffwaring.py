@@ -7,6 +7,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 from math import gcd, isqrt
@@ -246,6 +247,40 @@ def test_is_primitive_root_matches_the_order_walk():
         assert is_primitive_root(p, r) == (_order_by_walk(p, r) == r - 1), (p, r)
 
 
+def _trial_prime_divisors(n, primes):
+    """Independent slow path: each of the given primes up to sqrt(n) in turn, the cofactor last."""
+    out = []
+    for f in primes:
+        if f * f > n:
+            break
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+    else:
+        raise AssertionError(f"{n} needs primes past {primes[-1]}")
+    return out + [n] if n > 1 else out
+
+
+def test_prime_divisors_match_plain_trial_division():
+    primes = [f for f in range(2, 100004) if _is_prime(f)]  # 100003^2 > 10^10
+    rng = random.Random(17)
+    big = [99989 * 99991, 2 * 99991**2, 3 * 99989 * 99991, 2**33, 3**20, 9999999967]
+    for n in [*range(1, 5000), *(rng.randrange(1, 10**10) for _ in range(300)), *big]:
+        assert list(ffwaring._prime_divisors(n)) == _trial_prime_divisors(n, primes), n
+
+
+# r = 2q + 1 with q prime: r - 1 = 2q, whose trial division up to sqrt(2q)
+# took about 3 s; division stops once the cofactor q is proved prime.
+def test_a_safe_prime_is_tested_without_trial_division_to_its_root():
+    r = 2000000000014403
+    assert _is_prime(r) and _is_prime((r - 1) // 2)
+    start = time.perf_counter()
+    assert list(ffwaring._prime_divisors(r - 1)) == [2, (r - 1) // 2]
+    assert is_primitive_root(2, r) and not is_primitive_root(3, r)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_cyclotomic_field_builds_exactly_when_the_modulus_is_irreducible():
     # trial division up to degree (r-1)/2 costs about p^((r-1)/2) divisions
     pairs = [
@@ -406,12 +441,12 @@ def test_kth_power_set_examples():
     f4 = cyclotomic_field(2, 3)
     assert {FqElem(f4, t).coeffs for t in kth_power_set(f4, 3)} == {(0, 0), (1, 0)}
     f5 = FqField(5, find_irreducible(5, 1))
-    assert kth_power_set(f5, 2) == frozenset({0, 1, 4})
-    assert kth_power_set(f5, 1) == kth_power_set(f5, 3) == frozenset(range(5))
+    assert set(kth_power_set(f5, 2).tolist()) == {0, 1, 4}
+    assert set(kth_power_set(f5, 1).tolist()) == set(kth_power_set(f5, 3).tolist()) == set(range(5))
     f81 = cyclotomic_field(3, 5)
     for k in (1, 16, 80):
         powers = kth_power_set(f81, k)
-        assert type(powers) is frozenset and all(type(t) is int for t in powers)
+        assert type(powers) is np.ndarray and powers.dtype == np.int64
     with pytest.raises(ValueError, match="positive"):
         kth_power_set(f5, 0)
 
@@ -422,14 +457,14 @@ def test_kth_power_set_matches_direct_powers():
         for _ in range(5):
             k = rng.randrange(1, 50)
             direct = {_elem(f, _pow(f, a.coeffs, k)).rank for a in f.elements()}
-            assert kth_power_set(f, k) == direct
+            assert set(kth_power_set(f, k).tolist()) == direct
             assert len(direct) == 1 + (f.q - 1) // gcd(k, f.q - 1)
     # every subgroup order d | q - 1, from d = q - 1 (48 = 2^4 * 3, 63 = 3^2 * 7) down to d = 1
     for f in (FqField(7, find_irreducible(7, 2)), FqField(2, find_irreducible(2, 6))):
         for k in range(1, f.q):
             if (f.q - 1) % k == 0:
                 direct = {_elem(f, _pow(f, a.coeffs, k)).rank for a in f.elements()}
-                assert kth_power_set(f, k) == direct
+                assert set(kth_power_set(f, k).tolist()) == direct
                 assert len(direct) == 1 + (f.q - 1) // k
 
 
@@ -555,7 +590,7 @@ def test_powers_tables_and_reads_build_no_element(monkeypatch):
     monkeypatch.setattr(ffwaring, "FqElem", refuse)
     monkeypatch.setattr(ffwaring, "_elements", refuse)
     f = cyclotomic_field(3, 5)  # fresh: no kept table
-    assert len(kth_power_set(f, 16)) == 6 and kth_power_set(f, 3) == frozenset(range(f.q))
+    assert len(kth_power_set(f, 16)) == 6 and set(kth_power_set(f, 3).tolist()) == set(range(f.q))
     assert waring_number(f, 16) == 4 and waring_number(f, 1) == 1
     assert per_element_length(read, 48, a) == 1
 
@@ -624,19 +659,23 @@ def _peak_of_waring_number(f, k):
         tracemalloc.stop()
 
 
-# Sorting the first powers' set in numpy peaked here at 5.00 MiB, and in
+# Sorting a first-power rank set in numpy peaked here at 5.00 MiB, and in
 # Python (a second q-sized set, then a list) at 7.99 MiB (numpy 2.4, Python
-# 3.11); the bound sits midway.  The k = 1 table now needs no set (0.25 MiB).
+# 3.11); the bound sits midway.  The k = 1 table now needs no powers (0.25 MiB).
 def test_first_powers_of_F_2_16_are_sorted_without_a_second_set():
     g, peak = _peak_of_waring_number(FqField(2, find_irreducible(2, 16)), 1)
     assert g == 1 and peak < 6.5 * 2**20, peak
 
 
-# Bounds midway between this code and a regression (numpy 2.4, Python 3.11).
-# Squares of F_65537: the set sorted in numpy, then freed, peaks at 4.25 MiB;
-# sorted in Python 5.00 MiB, kept alive through the BFS 5.90 MiB.  First
-# powers of F_{3^12}: the table is 2.0 MiB, building the set 40 MiB.
-@pytest.mark.parametrize("p,n,k,g,bound", [(65537, 1, 2, 2, 4.6), (3, 12, 1, 1, 4)])
+# Bounds between this code and a regression (numpy 2.4, Python 3.11).  The
+# powers are one sorted rank array of d + 1 entries, built from exactly d
+# digit rows filled in place.  Squares of F_65537 peak at 2.91 MiB; a rank
+# set sorted in numpy peaked at 4.25 MiB, sorted in Python 5.00 MiB, kept
+# alive through the BFS 5.90 MiB.  Cubes of F_{2^16} (d = 21 845, so the last
+# doubling block is partial) peak at 3.04 MiB; rows grown by concatenation up
+# to 2^15 and then cut to d peaked at 8.04 MiB.  First powers of F_{3^12}: the
+# table is 2.0 MiB, building the set of all q ranks 40 MiB.
+@pytest.mark.parametrize("p,n,k,g,bound", [(65537, 1, 2, 2, 4.6), (3, 12, 1, 1, 4), (2, 16, 3, 2, 5.5)])
 def test_tables_peak_under_their_memory_bounds(p, n, k, g, bound):
     got, peak = _peak_of_waring_number(FqField(p, find_irreducible(p, n)), k)
     assert got == g and peak < bound * 2**20, peak
@@ -672,7 +711,9 @@ def test_rank_bfs_matches_tuple_bfs(p, n):
         if (f.q - 1) % k_red:
             continue
         powers = [(0,) * n] + walk[::k_red]  # 0 and the subgroup of order (q-1)/k_red
-        assert set(kth_power_set(f, k_red)) == {_elem(f, c).rank for c in powers}
+        ranks = kth_power_set(f, k_red)  # the doubling's last block is partial unless d is 2^j
+        assert ranks[0] == 0 and len(ranks) == 1 + (f.q - 1) // k_red and np.all(np.diff(ranks) > 0)
+        assert set(ranks.tolist()) == {_elem(f, c).rank for c in powers}
         ref, ref_g = _reference_levels(f, powers)
         want = np.full(f.q, -1)
         for coeffs, level in ref.items():
