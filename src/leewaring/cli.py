@@ -137,8 +137,15 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _charge(units: int, budget: int, what: str) -> None:
+    """Refuse a command whose work, linear in units, exceeds its budget."""
+    if units > budget:
+        raise BudgetError(units, budget, what)
+
+
 def cmd_construct(args) -> int:
     m, r, kind = args.m, args.r, args.norm
+    _charge(m + r, args.budget, "construction")
     construct, closed_form = _EXTREMAL[kind]
     v = construct(m, r)
     target = closed_form(m, r)
@@ -163,6 +170,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _charge(args.m + len(args.vec), args.budget, "admissibility check")
     v = ModVec(args.m, args.vec)
     kind = args.norm
     seq = norm_sequence(v, kind)
@@ -264,6 +272,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--m", type=int, required=True)
     p_con.add_argument("--r", type=int, required=True)
     p_con.add_argument("--norm", type=_parse_norm, required=True)
+    p_con.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="max m + r: the build and its self-check are linear in it",
+    )
     p_con.add_argument("--format", **fmt)
     p_con.set_defaults(func=cmd_construct)
 
@@ -271,6 +283,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--m", type=int, required=True)
     p_check.add_argument("--vec", type=_parse_vec, required=True, help="comma-separated residues")
     p_check.add_argument("--norm", type=_parse_norm, required=True)
+    p_check.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="max m + coordinates: the norm sequence is linear in it",
+    )
     p_check.add_argument("--format", **fmt)
     p_check.set_defaults(func=cmd_check)
 

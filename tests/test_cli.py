@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -84,6 +85,35 @@ def test_check_rejects_malformed_vector(capsys):
     with pytest.raises(SystemExit) as info:
         main(["check", "--m", "4", "--vec", "0,two", "--norm", "lee"])
     assert info.value.code == 2
+
+
+def _refused(capsys, *argv):
+    """Exit code and stderr of a command that must refuse before it allocates."""
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert out == ""
+    return code, err
+
+
+def test_construct_and_check_refuse_a_huge_modulus(capsys):
+    # both are linear in m: --m 10^7 used to take 11.6 s at 704 MB
+    code, err = _refused(capsys, "construct", "--m", "1000000000", "--r", "3", "--norm", "lee")
+    assert code == 2
+    assert err == "budget exceeded: construction needs 1000000003, which exceeds the budget of 10000000\n"
+    code, err = _refused(capsys, "check", "--m", "1000000000", "--vec", "0,1", "--norm", "one")
+    assert code == 2
+    assert err == "budget exceeded: admissibility check needs 1000000002, which exceeds the budget of 10000000\n"
+
+
+def test_construct_and_check_budgets_count_m_plus_coordinates(capsys):
+    for budget, code in (("9", 0), ("8", 2)):
+        assert run_cli(capsys, "construct", "--m", "6", "--r", "3", "--norm", "lee", "--budget", budget)[0] == code
+        assert run_cli(capsys, "check", "--m", "6", "--vec", "0,2,4", "--norm", "lee", "--budget", budget)[0] == code
 
 
 def test_oracle_match(capsys):

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
-from math import comb
+from functools import cache
+from math import ceil, comb
 
 import pytest
 
@@ -16,6 +20,7 @@ from leewaring import (
     norm,
     oracle,
 )
+from leewaring.admissible import shift_norms
 
 ONE, LEE = NormKind.ONE, NormKind.LEE
 
@@ -103,13 +108,86 @@ def test_single_coordinate_answers_without_enumerating(monkeypatch):
 CRITERION_1_GRID = [(m, r) for m in range(1, 9) for r in range(1, 8) if m ** (r - 1) <= 2 * 10**6]
 
 
+_reference = cache(coset_max_admissible)
+
+
 @pytest.mark.parametrize("m, r", CRITERION_1_GRID + [(2, 21), (4, 11)])
 def test_matches_coset_reference(m, r):
     # (2, 21) and (4, 11) are tie-heavy: a third and a fifth of their cosets
     # attain the maximum, so the witness rule decides among many candidates
     for kind in (ONE, LEE):
         res = brute_max_admissible(m, r, kind)
-        assert (res.max_norm, res.witness.coords, res.enumerated) == coset_max_admissible(m, r, kind)
+        assert (res.max_norm, res.witness.coords, res.enumerated) == _reference(m, r, kind)
+
+
+@pytest.mark.parametrize("m, r", CRITERION_1_GRID + [(2, 21), (4, 11)])
+def test_matches_coset_reference_one_state_a_chunk(m, r, monkeypatch):
+    # every tie and every witness comparison crosses a chunk boundary
+    monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(oracle, "_CHUNK_MIN", 1)
+    for kind in (ONE, LEE):
+        res = brute_max_admissible(m, r, kind)
+        assert (res.max_norm, res.witness.coords, res.enumerated) == _reference(m, r, kind)
+
+
+def _chunks(monkeypatch):
+    """Count the shift_norms passes, one per chunk, of the oracle runs that follow."""
+    calls = []
+
+    def counted(hist, w):
+        calls.append(hist.shape[1])
+        return shift_norms(hist, w)
+
+    monkeypatch.setattr(oracle, "shift_norms", counted)
+    return calls
+
+
+def test_chunks_hold_at_most_their_entries_and_at_least_the_floor(monkeypatch):
+    calls = _chunks(monkeypatch)
+    # 2^16 // 24 = 2730 states a chunk: 705 432 states in 259 chunks
+    assert brute_max_admissible(12, 12, LEE, budget=10**12).max_norm == 36
+    assert len(calls) == 259 and max(calls) == 2730
+    calls.clear()
+    # 2^16 // 103 = 636 states would cost 8 chunks of m = 100 numpy steps
+    # each; the floor makes it 3
+    assert brute_max_admissible(100, 3, LEE, budget=10**8).max_norm == h_bound(100, 3)
+    assert calls == [oracle._CHUNK_MIN, oracle._CHUNK_MIN, comb(101, 2) - 2 * oracle._CHUNK_MIN]
+
+
+def test_memory_is_one_chunk():
+    # the whole 48 620-state histogram and its norms took a 10.4 MiB peak
+    tracemalloc.start()
+    try:
+        res = brute_max_admissible(10, 10, LEE, budget=10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.max_norm == h_bound(10, 10)
+    assert peak < 2 * 2**20, peak
+
+
+@pytest.mark.slow
+def test_lee_12_12_runs_in_bounded_memory():
+    code = (
+        "import resource; from leewaring import NormKind, brute_max_admissible; "
+        "print(brute_max_admissible(12, 12, NormKind.LEE, budget=10**12).max_norm, "
+        "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oracle.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    value, rss_kb = map(int, proc.stdout.split())
+    assert value == 36
+    assert rss_kb < 80 * 1000, rss_kb  # whole histogram at once: 211 MB
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m, r", [(3000, 2), (400, 3), (60, 5)])
+def test_large_modulus_matches_closed_form(m, r, monkeypatch):
+    # each chunk costs m numpy steps, so the floor keeps the chunk count down
+    calls = _chunks(monkeypatch)
+    assert brute_max_admissible(m, r, LEE, budget=10**8).max_norm == h_bound(m, r)
+    assert len(calls) == ceil(comb(m + r - 2, r - 1) / oracle._CHUNK_MIN)
 
 
 def test_newly_reachable_grid_matches_closed_forms():
