@@ -20,9 +20,8 @@ pass gives the chunk's m x n norm block, and from it each state's
 minimum, the chunk's maximum and the minimising shifts of its maximal
 states.  The witness rule picks among those; across chunks the run keeps
 the best norm and the largest witness count vector (copies of 0, of 1,
-...), which is the smallest sorted arrangement.  Histogram
-and norms are int32 when 4 * r * m < 2^31, which bounds every norm,
-slope and turn.
+...), which is the smallest sorted arrangement.  Histogram and norms are
+int32 when 4 * r * m < 2^31, which bounds every norm, slope and turn.
 
 Budget: a run is charged max(m^(r-1), C(m+r-2, r-1) * (m + r)) units
 (cosets covered; states x (shifts + coordinates) over all chunks) and is

@@ -101,7 +101,7 @@ def _refused(capsys, *argv):
 
 
 def test_construct_and_check_refuse_a_huge_modulus(capsys):
-    # both are linear in m: --m 10^7 used to take 11.6 s at 704 MB
+    # both are linear in m: without a budget, construct --m 10^7 takes 11.6 s at 704 MB
     code, err = _refused(capsys, "construct", "--m", "1000000000", "--r", "3", "--norm", "lee")
     assert code == 2
     assert err == "budget exceeded: construction needs 1000000003, which exceeds the budget of 10000000\n"

@@ -155,7 +155,7 @@ def test_chunks_hold_at_most_their_entries_and_at_least_the_floor(monkeypatch):
 
 
 def test_memory_is_one_chunk():
-    # the whole 48 620-state histogram and its norms took a 10.4 MiB peak
+    # the whole 48 620-state histogram and its norms at once peak at 10.4 MiB
     tracemalloc.start()
     try:
         res = brute_max_admissible(10, 10, LEE, budget=10**12)
