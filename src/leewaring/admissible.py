@@ -4,9 +4,10 @@ A vector is admissible when no shift by a multiple of the all-ones vector
 lowers its norm, i.e. its norm is minimal within its coset of the
 all-ones line.  The norm sequence of v lists ||v + x*e|| for all x; its
 strict local extrema (with plateaus, read cyclically) drive the balanced
-vector constructions.  shift_norms is the one kernel that computes norm
-sequences from a residue histogram and a weight table (modring.weights),
-here for a single vector and in the oracle for many at once.
+vector constructions.  shift_norms is the single-vector kernel that
+computes a norm sequence from a residue histogram and a weight table
+(modring.weights) in O(m) steps; the oracle, which scores many states at
+once, sums rows of a shift table instead.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from .modring import ModVec, NormKind, shift, weights
 def shift_norms(hist, w):
     """Yield the norms sum_c hist[c] * w[(c + x) % m] at the shifts x = 0, ..., m-1.
 
-    hist[c] counts the coordinates equal to c: an int for one vector, or a
-    numpy row with one entry per vector; w weighs each residue.  Step x -> x+1
-    adds the slope sum_c hist[c] * step[(c + x) % m], step[j] = w[j+1] - w[j]
-    cyclically.  The slope changes only at the bends j, where step[j] !=
+    hist[c] counts the coordinates equal to c, and w weighs each residue.  This
+    is the single-vector kernel of norm_sequence: hist is a list of ints (numpy
+    rows, one entry per vector, step the same way).  Step x -> x+1 adds the
+    slope sum_c hist[c] * step[(c + x) % m], step[j] = w[j+1] - w[j] cyclically.  The slope changes only at the bends j, where step[j] !=
     step[j-1]: by e_j = step[j] - step[j-1] for each of the hist[(j - x - 1) % m]
     coordinates that reach j.  ONE and LEE have 2 or 3 bends, so a step costs
     O(1) row operations, chained by itertools at C speed for an int list.

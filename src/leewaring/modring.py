@@ -55,9 +55,16 @@ class ModVec:
         return len(self.coords)
 
 
+def require_kind(kind: NormKind) -> NormKind:
+    """kind itself, or TypeError when it is not a NormKind (the string "one", say)."""
+    if not isinstance(kind, NormKind):
+        raise TypeError(f"norm kind must be a NormKind, got {kind!r}")
+    return kind
+
+
 def norm(v: ModVec, kind: NormKind) -> int:
     """Sum of least residues (ONE) or of cycle distances (LEE)."""
-    if kind is NormKind.ONE:
+    if require_kind(kind) is NormKind.ONE:
         return sum(v.coords)
     m = v.modulus
     return sum(min(c, m - c) for c in v.coords)
@@ -65,7 +72,9 @@ def norm(v: ModVec, kind: NormKind) -> int:
 
 def weights(m: int, kind: NormKind) -> list[int]:
     """The weight of each residue 0, ..., m-1: c (ONE) or min(c, m - c) (LEE)."""
-    return list(range(m)) if kind is NormKind.ONE else list(map(min, range(m), range(m, 0, -1)))
+    if require_kind(kind) is NormKind.ONE:
+        return list(range(m))
+    return list(map(min, range(m), range(m, 0, -1)))
 
 
 def shift(v: ModVec, x: int) -> ModVec:

@@ -4,10 +4,11 @@ The admissible norm of v (its minimum over the shifts v + x*e) depends
 only on the multiset of v's coordinates.  Every coset of the all-ones
 line holds a vector with a coordinate 0, so the C(m+r-2, r-1) states
 {0} + S (S a multiset of r-1 residues) cover all m^(r-1) cosets; the
-answer is the max over states of the min over shifts.  Those norms come
-from admissible.shift_norms, the kernel behind every norm sequence, fed
-the norm's weight table and the residue histograms of a chunk of states
-as numpy rows, so that it steps the whole chunk at once.
+answer is the max over states of the min over shifts.  Row c of the
+shift table, table[c, x] = w[(c + x) % m] for the norm's weight table w,
+weighs residue c at every shift; it is a strided view of w + w, 2m
+entries, never an m x m copy.  A state's norms at all m shifts are the
+sum of the rows of its r coordinates.
 
 Witness: the lexicographically smallest sorted((s + x) mod m) over the
 maximal states s and their minimising shifts x, which is the smallest
@@ -15,36 +16,37 @@ admissible vector of maximal norm: each such vector arranges a shifted
 state, and a multiset's sorted arrangement is its smallest.
 
 Chunks: the states come from combinations_with_replacement, n =
-max(_CHUNK_MIN, _CHUNK_ENTRIES // (m + r)) at a time.  One shift_norms
-pass gives the chunk's m x n norm block, and from it each state's
-minimum, the chunk's maximum and the minimising shifts of its maximal
-states.  The witness rule picks among those; across chunks the run keeps
-the best norm and the largest witness count vector (copies of 0, of 1,
-...), which is the smallest sorted arrangement.  Histogram and norms are
-int32 when 4 * r * m < 2^31, which bounds every norm, slope and turn.
+max(1, _CHUNK_ENTRIES // (m + r)) at a time, as the n x (r-1) matrix of
+their multisets S (one byte a residue when m <= 256, packed by bytes()
+at C speed).  Row 0 plus r-1 row gathers from the table give the
+chunk's n x m norm block, and from it each state's minimum, the chunk's
+maximum and the (state, shift) pairs that attain it.  Those pairs, shifted and sorted row by row, go through one lexsort,
+which gives the chunk's smallest arrangement; across chunks the run
+keeps the best norm and the smallest arrangement.  Norms are int32 when
+4 * r * m < 2^31, which bounds every norm.
 
 Budget: a run is charged max(m^(r-1), C(m+r-2, r-1) * (m + r)) units
 (cosets covered; states x (shifts + coordinates) over all chunks) and is
-refused before it allocates when over budget.  The charge bounds time.
-Memory is one chunk, about max(_CHUNK_ENTRIES, _CHUNK_MIN * (m + r))
-entries each of histogram and norms, whatever the budget.
+refused before it allocates when over budget.  The charge bounds time:
+a chunk costs r-1 gathers, and m^(r-1) <= budget gives r-1 <= log2(budget)
+for m >= 2 (m = 1 is answered without enumerating).  Memory is one chunk,
+about _CHUNK_ENTRIES = 2^16 entries whatever m and the budget are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations_with_replacement, islice
 from math import comb
 
-from .admissible import is_admissible, shift_norms
+from .admissible import is_admissible
 from .errors import BudgetError, budgeted_power
-from .modring import ModVec, NormKind, norm, weights
+from .modring import ModVec, NormKind, norm, require_kind, weights
 
 DEFAULT_BUDGET = 10**7
-# A chunk holds about _CHUNK_ENTRIES histogram entries, and never fewer than
-# _CHUNK_MIN states, since each chunk costs m numpy steps.
+# A chunk of n states holds about _CHUNK_ENTRIES = n * (m + r) entries.
 _CHUNK_ENTRIES = 2**16
-_CHUNK_MIN = 2048
 
 
 @dataclass(frozen=True)
@@ -70,47 +72,54 @@ def brute_max_admissible(
 ) -> OracleResult:
     """Exhaustive maximum of the admissible norm over (Z/mZ)^r with a witness.
 
-    Raises BudgetError over budget.  threads must be positive; the work is serial.
+    Raises BudgetError over budget and TypeError when kind is not a NormKind.
+    threads must be positive; the work is serial.
     """
     if m < 1 or r < 1:
         raise ValueError(f"m and r must be positive, got m={m}, r={r}")
     if threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
+    require_kind(kind)
     if r == 1:  # one coordinate: every coset holds (0,), of norm 0
         return OracleResult(0, ModVec(m, (0,)), 1)
     cosets = _check_budget(m, r, budget)
+    if m == 1:  # every coordinate is 0
+        return OracleResult(0, ModVec(1, (0,) * r), 1)
     import numpy as np
     dtype = np.int32 if 4 * r * m < 2**31 else np.int64
-    chunk = max(_CHUNK_MIN, _CHUNK_ENTRIES // (m + r))
-    w = weights(m, kind)
+    ww = np.array(weights(m, kind) * 2, dtype)
+    # row c of the table, w[(c + x) % m] for x = 0, ..., m-1, is ww[c:c + m]: a strided
+    # view of w + w that holds each row as one item, so that a gather copies whole rows
+    table = np.ndarray(m, (np.void, ww.itemsize * m), buffer=ww, strides=ww.strides)
+    chunk = max(1, _CHUNK_ENTRIES // (m + r))
     states = combinations_with_replacement(range(m), r - 1)
-    best, top = -1, None  # top: the best witness's count vector
-    while (free := np.fromiter(chain.from_iterable(islice(states, chunk)), np.int64)).size:
-        n = free.size // (r - 1)
-        hist = np.bincount(free * n + np.repeat(np.arange(n), r - 1), minlength=m * n)
-        hist = hist.reshape(m, n).astype(dtype)  # hist[c, s]: copies of residue c in state s
-        hist[0] += 1
-        # norms[x, s]: the norm of state s shifted by x
-        norms = np.fromiter(shift_norms(hist, w), np.dtype((dtype, n)), m)
-        mins = norms.min(axis=0)
+    # residues below 256 fit a byte, and bytes() packs them about twice as fast as fromiter
+    if m <= 256:
+        pack = lambda flat: np.frombuffer(bytes(flat), np.uint8)
+    else:
+        pack = partial(np.fromiter, dtype=np.intp)
+    best, top = -1, None  # top: the best witness, sorted
+    while (free := pack(chain.from_iterable(islice(states, chunk)))).size:
+        free = free.reshape(-1, r - 1)  # free[s]: the coordinates of state s after its 0
+        norms = table[free[:, 0]].view(dtype).reshape(-1, m)  # norms[s, x]: state s shifted by x
+        norms += ww[:m]
+        for i in range(1, r - 1):
+            norms += table[free[:, i]].view(dtype).reshape(-1, m)
+        mins = norms.min(axis=1)
         peak = int(mins.max())
         if peak < best:
             continue
-        tied = mins == peak
-        hist = hist[:, tied]
-        xs, ids = np.nonzero(norms[:, tied] == peak)
-        left = r  # the smallest sorted arrangement holds the most 0s, then the most 1s, ...
-        for value in range(m):
-            counts = hist[(value - xs) % m, ids]
-            keep = counts == counts.max()
-            xs, ids, left = xs[keep], ids[keep], left - int(counts.max())
-            if left == 0:
-                break
-        col, x = hist[:, ids[0]].tolist(), m - int(xs[0])
-        cand = col[x:] + col[:x]  # the chunk's witness: its copies of each value
-        if peak > best or cand > top:
+        tied = np.flatnonzero(mins == peak)
+        ids, xs = np.nonzero(norms[tied] == peak)
+        rows = np.zeros((ids.size, r), dtype)  # each maximal state at each minimising shift
+        rows[:, 1:] = free[tied[ids]]
+        rows += xs[:, None]
+        rows %= m
+        rows.sort(axis=1)
+        cand = rows[np.lexsort(rows.T[::-1])[0]].tolist()  # the chunk's smallest arrangement
+        if peak > best or cand < top:
             best, top = peak, cand
-    witness = ModVec(m, np.repeat(np.arange(m), top))
+    witness = ModVec(m, top)
     if not is_admissible(witness, kind) or norm(witness, kind) != best:
         raise AssertionError("oracle witness failed its self-check")
     return OracleResult(best, witness, cosets)

@@ -65,6 +65,13 @@ def test_shift_norms_matches_the_direct_sum_for_any_weight_table():
             assert np.array(got).tolist() == want, (m, w)
 
 
+def test_is_admissible_rejects_a_kind_that_is_not_a_norm_kind():
+    v = ModVec(5, (0, 4))
+    assert not is_admissible(v, ONE) and is_admissible(v, LEE)  # "one" once ran as LEE
+    with pytest.raises(TypeError, match="NormKind"):
+        is_admissible(v, "one")
+
+
 def test_is_admissible_examples():
     assert is_admissible(ModVec(3, (2, 1, 0)), ONE)
     assert not is_admissible(ModVec(3, (1, 1)), LEE)

@@ -36,6 +36,17 @@ def test_norm_examples():
     assert norm(ModVec(7, ()), ONE) == 0  # empty vector
 
 
+def test_norm_kind_must_be_a_norm_kind():
+    # the string "one" once fell through to the Lee branch: weights(5, "one") was [0, 1, 2, 2, 1]
+    assert weights(5, ONE) == [0, 1, 2, 3, 4]
+    v = ModVec(5, (3, 4))
+    for kind in ("one", "lee", None, 1):
+        with pytest.raises(TypeError, match="NormKind"):
+            weights(5, kind)
+        with pytest.raises(TypeError, match="NormKind"):
+            norm(v, kind)
+
+
 def test_modvec_canonicalises_coordinates():
     assert ModVec(4, (-1, 6, 4)).coords == (3, 2, 0)
     with pytest.raises(ValueError):

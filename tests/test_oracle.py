@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from functools import cache
+from itertools import islice
 from math import ceil, comb
 
 import pytest
@@ -20,7 +21,6 @@ from leewaring import (
     norm,
     oracle,
 )
-from leewaring.admissible import shift_norms
 
 ONE, LEE = NormKind.ONE, NormKind.LEE
 
@@ -95,14 +95,35 @@ def test_single_coordinate_and_unit_modulus():
         assert (res.max_norm, res.witness.coords, res.enumerated) == (0, (0,) * 1000, 1)
 
 
-def test_single_coordinate_answers_without_enumerating(monkeypatch):
-    # every coset of (Z/mZ)^1 holds (0,), so even m = 10^6 needs no shift norms
-    def refuse(hist, kind):
-        raise AssertionError("r = 1 must not step shift norms")
+def _refuse_enumeration(monkeypatch):
+    """Make any oracle run that draws a chunk of states fail."""
+    def refuse(states, n):
+        raise AssertionError("the answer needs no enumeration")
 
-    monkeypatch.setattr(oracle, "shift_norms", refuse)
+    monkeypatch.setattr(oracle, "islice", refuse)
+
+
+def test_single_coordinate_answers_without_enumerating(monkeypatch):
+    # every coset of (Z/mZ)^1 holds (0,), so even m = 10^6 needs no states
+    _refuse_enumeration(monkeypatch)
     for kind in (ONE, LEE):
         assert brute_max_admissible(10**6, 1, kind) == OracleResult(0, ModVec(10**6, (0,)), 1)
+
+
+def test_unit_modulus_answers_without_enumerating(monkeypatch):
+    # m = 1 is the one case where m^(r-1) <= budget does not bound r: (1, 10^6)
+    # fits the default budget and would otherwise make 10^6 gathers
+    _refuse_enumeration(monkeypatch)
+    for kind in (ONE, LEE):
+        assert brute_max_admissible(1, 10**6, kind) == OracleResult(0, ModVec(1, (0,) * 10**6), 1)
+
+
+def test_rejects_a_kind_that_is_not_a_norm_kind():
+    # the string "one" once ran as LEE: max 3 with witness (0, 1, 3), where ONE gives 4
+    assert brute_max_admissible(5, 3, ONE).max_norm == 4
+    for r in (1, 3):
+        with pytest.raises(TypeError, match="NormKind"):
+            brute_max_admissible(5, r, "one")
 
 
 CRITERION_1_GRID = [(m, r) for m in range(1, 9) for r in range(1, 8) if m ** (r - 1) <= 2 * 10**6]
@@ -124,46 +145,56 @@ def test_matches_coset_reference(m, r):
 def test_matches_coset_reference_one_state_a_chunk(m, r, monkeypatch):
     # every tie and every witness comparison crosses a chunk boundary
     monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 1)
-    monkeypatch.setattr(oracle, "_CHUNK_MIN", 1)
     for kind in (ONE, LEE):
         res = brute_max_admissible(m, r, kind)
         assert (res.max_norm, res.witness.coords, res.enumerated) == _reference(m, r, kind)
 
 
 def _chunks(monkeypatch):
-    """Count the shift_norms passes, one per chunk, of the oracle runs that follow."""
+    """Count the states of each chunk the oracle runs that follow draw."""
     calls = []
 
-    def counted(hist, w):
-        calls.append(hist.shape[1])
-        return shift_norms(hist, w)
+    def counted(states, n):
+        chunk = list(islice(states, n))
+        if chunk:
+            calls.append(len(chunk))
+        return iter(chunk)
 
-    monkeypatch.setattr(oracle, "shift_norms", counted)
+    monkeypatch.setattr(oracle, "islice", counted)
     return calls
 
 
-def test_chunks_hold_at_most_their_entries_and_at_least_the_floor(monkeypatch):
+def test_chunks_hold_at_most_their_entries(monkeypatch):
     calls = _chunks(monkeypatch)
     # 2^16 // 24 = 2730 states a chunk: 705 432 states in 259 chunks
     assert brute_max_admissible(12, 12, LEE, budget=10**12).max_norm == 36
     assert len(calls) == 259 and max(calls) == 2730
     calls.clear()
-    # 2^16 // 103 = 636 states would cost 8 chunks of m = 100 numpy steps
-    # each; the floor makes it 3
+    # 2^16 // 103 = 636 states a chunk: 5 050 states in 8 chunks
     assert brute_max_admissible(100, 3, LEE, budget=10**8).max_norm == h_bound(100, 3)
-    assert calls == [oracle._CHUNK_MIN, oracle._CHUNK_MIN, comb(101, 2) - 2 * oracle._CHUNK_MIN]
+    assert calls == [636] * 7 + [comb(101, 2) - 7 * 636]
+
+
+@pytest.mark.parametrize("m", [255, 256, 257])
+def test_residues_on_both_sides_of_a_byte_match_closed_forms(m):
+    # states with m <= 256 are packed as bytes, wider ones as intp
+    for kind, bound in ((ONE, g_bound), (LEE, h_bound)):
+        res = brute_max_admissible(m, 3, kind)
+        assert res.max_norm == bound(m, 3) and res.enumerated == m**2, (m, kind)
 
 
 def test_memory_is_one_chunk():
-    # the whole 48 620-state histogram and its norms at once peak at 10.4 MiB
-    tracemalloc.start()
-    try:
-        res = brute_max_admissible(10, 10, LEE, budget=10**12)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.max_norm == h_bound(10, 10)
-    assert peak < 2 * 2**20, peak
+    # the whole 48 620-state histogram and its norms at once peak at 10.4 MiB;
+    # (400, 3) and (3000, 2) peaked at 12.6 and 70.5 MiB in 2048-state chunks
+    for m, r in ((10, 10), (400, 3), (3000, 2)):
+        tracemalloc.start()
+        try:
+            res = brute_max_admissible(m, r, LEE, budget=10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.max_norm == h_bound(m, r)
+        assert peak < 2 * 2**20, (m, r, peak)
 
 
 @pytest.mark.slow
@@ -184,10 +215,10 @@ def test_lee_12_12_runs_in_bounded_memory():
 @pytest.mark.slow
 @pytest.mark.parametrize("m, r", [(3000, 2), (400, 3), (60, 5)])
 def test_large_modulus_matches_closed_form(m, r, monkeypatch):
-    # each chunk costs m numpy steps, so the floor keeps the chunk count down
+    # a chunk holds 2^16 // (m + r) states, however large m is
     calls = _chunks(monkeypatch)
     assert brute_max_admissible(m, r, LEE, budget=10**8).max_norm == h_bound(m, r)
-    assert len(calls) == ceil(comb(m + r - 2, r - 1) / oracle._CHUNK_MIN)
+    assert len(calls) == ceil(comb(m + r - 2, r - 1) / (oracle._CHUNK_ENTRIES // (m + r)))
 
 
 def test_newly_reachable_grid_matches_closed_forms():
