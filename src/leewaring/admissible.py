@@ -28,7 +28,8 @@ def shift_norms(hist, w):
     hist[c] counts the coordinates equal to c, and w weighs each residue.  This
     is the single-vector kernel of norm_sequence: hist is a list of ints (numpy
     rows, one entry per vector, step the same way).  Step x -> x+1 adds the
-    slope sum_c hist[c] * step[(c + x) % m], step[j] = w[j+1] - w[j] cyclically.  The slope changes only at the bends j, where step[j] !=
+    slope sum_c hist[c] * step[(c + x) % m], step[j] = w[j+1] - w[j]
+    cyclically.  The slope changes only at the bends j, where step[j] !=
     step[j-1]: by e_j = step[j] - step[j-1] for each of the hist[(j - x - 1) % m]
     coordinates that reach j.  ONE and LEE have 2 or 3 bends, so a step costs
     O(1) row operations, chained by itertools at C speed for an int list.

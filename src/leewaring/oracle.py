@@ -20,10 +20,11 @@ max(1, _CHUNK_ENTRIES // (m + r)) at a time, as the n x (r-1) matrix of
 their multisets S (one byte a residue when m <= 256, packed by bytes()
 at C speed).  Row 0 plus r-1 row gathers from the table give the
 chunk's n x m norm block, and from it each state's minimum, the chunk's
-maximum and the (state, shift) pairs that attain it.  Those pairs, shifted and sorted row by row, go through one lexsort,
-which gives the chunk's smallest arrangement; across chunks the run
-keeps the best norm and the smallest arrangement.  Norms are int32 when
-4 * r * m < 2^31, which bounds every norm.
+maximum and the (state, shift) pairs that attain it.  Those pairs,
+shifted and sorted row by row, go through one lexsort, which gives the
+chunk's smallest arrangement; across chunks the run keeps the best norm
+and the smallest arrangement.  Norms are int32 when 4 * r * m < 2^31,
+which bounds every norm.
 
 Budget: a run is charged max(m^(r-1), C(m+r-2, r-1) * (m + r)) units
 (cosets covered; states x (shifts + coordinates) over all chunks) and is
