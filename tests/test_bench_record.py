@@ -12,7 +12,7 @@ bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
 
-def _write(checkout, workload, seed, sweep, *, commit, correct=True, seconds=25, setup=0.2, rss=30.0):
+def _write(checkout, workload, seed, sweep, *, commit, correct=True, seconds=25, setup=0.2, rss=30.0, attempted=10):
     runs = checkout / ".perfbench_out" / "runs"
     runs.mkdir(parents=True, exist_ok=True)
     metrics = {"setup_s": setup, "sweep_s": sweep, "peak_rss_mb": rss}
@@ -24,7 +24,7 @@ def _write(checkout, workload, seed, sweep, *, commit, correct=True, seconds=25,
         "environment": {"commit": commit, "python": "3.11.7", "numpy": "2.4.6", "nproc": 2},
         "result": {
             "correct": correct,
-            "attempted": 10,
+            "attempted": attempted,
             "failed": 0,
             "metrics": {name: {"value": value, "unit": "?"} for name, value in metrics.items()},
         },
@@ -36,8 +36,8 @@ def _write(checkout, workload, seed, sweep, *, commit, correct=True, seconds=25,
 def checkouts(tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
     for seed, before, after in [(1, 0.20, 0.10), (2, 0.18, 0.12), (3, 0.21, 0.09), (4, 0.10, 0.11)]:
-        _write(parent, "waring_fields", seed, before, commit="aaa")
-        _write(change, "waring_fields", seed, after, commit="bbb", rss=29.0)
+        _write(parent, "waring_fields", seed, before, commit="aaa", attempted=100 + seed)
+        _write(change, "waring_fields", seed, after, commit="bbb", rss=29.0, attempted=200 + 2 * seed)
     _write(parent, "cli_cold", 7, 0.5, commit="aaa")
     _write(change, "cli_cold", 7, 0.5, commit="bbb")
     return parent, change
@@ -59,6 +59,12 @@ def test_medians_quartiles_and_wins(checkouts, tmp_path):
     assert sweep["change_wins"] == 3  # seed 4 is slower
     assert fields["metrics"]["peak_rss_mb"]["change_wins"] == 4
     assert fields["metrics"]["setup_s"]["change_wins"] == 0  # ties count for neither side
+    assert fields["attempted"] == {"parent": 102.5, "change": 205}
+    ratio = sweep["ratio"]
+    assert ratio["values"] == pytest.approx([0.5, 0.12 / 0.18, 0.09 / 0.21, 1.1])
+    assert (ratio["min"], ratio["max"]) == pytest.approx((0.09 / 0.21, 1.1))
+    assert ratio["median"] == pytest.approx((0.5 + 0.12 / 0.18) / 2)
+    assert fields["metrics"]["peak_rss_mb"]["ratio"]["median"] == pytest.approx(29 / 30)
     assert record["workloads"]["cli_cold"]["pairs"] == 1
     cold = record["workloads"]["cli_cold"]["metrics"]["sweep_s"]
     assert (cold["parent"]["q1"], cold["parent"]["median"], cold["parent"]["q3"]) == (0.5, 0.5, 0.5)
@@ -84,6 +90,11 @@ def test_refuses_different_run_lengths(checkouts, tmp_path, capsys):
 def test_refuses_a_seed_without_partner(checkouts, tmp_path, capsys):
     _write(checkouts[1], "waring_fields", 5, 0.1, commit="bbb")
     _refused(checkouts, tmp_path, capsys, "no partner for waring_fields seed 5")
+
+
+def test_refuses_a_parent_value_of_zero(checkouts, tmp_path, capsys):
+    _write(checkouts[0], "cli_cold", 7, 0.0, commit="aaa")
+    _refused(checkouts, tmp_path, capsys, "cli_cold sweep_s: a parent value of 0 has no ratio")
 
 
 def test_refuses_records_of_several_commits(checkouts, tmp_path, capsys):

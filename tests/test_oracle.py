@@ -1,14 +1,15 @@
+import json
 import os
 import subprocess
 import sys
 import tracemalloc
 from functools import cache
-from itertools import islice
-from math import ceil, comb
+from math import comb
 
 import pytest
 
 from coset_reference import coset_max_admissible
+from multiset_reference import multiset_max_admissible
 from leewaring import (
     BudgetError,
     ModVec,
@@ -95,27 +96,70 @@ def test_single_coordinate_and_unit_modulus():
         assert (res.max_norm, res.witness.coords, res.enumerated) == (0, (0,) * 1000, 1)
 
 
-def _refuse_enumeration(monkeypatch):
-    """Make any oracle run that draws a chunk of states fail."""
-    def refuse(states, n):
-        raise AssertionError("the answer needs no enumeration")
+class _Tiles(list):
+    blocks = 0  # prefix blocks, each of one or more tiles
 
-    monkeypatch.setattr(oracle, "islice", refuse)
+
+def _count_tiles(monkeypatch):
+    """Record (prefixes, suffixes) for each tile of the plans the oracle runs."""
+    tiles, plan = _Tiles(), oracle._tiles
+
+    def recorded(m, a, d):
+        n = comb(m + d - 1, d)
+        for rows, start, width in plan(m, a, d):
+            tiles.extend((rows, min(width, n - lo)) for lo in range(start, n, width))
+            tiles.blocks += 1
+            yield rows, start, width
+
+    monkeypatch.setattr(oracle, "_tiles", recorded)
+    return tiles
 
 
 def test_single_coordinate_answers_without_enumerating(monkeypatch):
     # every coset of (Z/mZ)^1 holds (0,), so even m = 10^6 needs no states
-    _refuse_enumeration(monkeypatch)
+    tiles = _count_tiles(monkeypatch)
     for kind in (ONE, LEE):
         assert brute_max_admissible(10**6, 1, kind) == OracleResult(0, ModVec(10**6, (0,)), 1)
+    assert tiles == []
 
 
 def test_unit_modulus_answers_without_enumerating(monkeypatch):
     # m = 1 is the one case where m^(r-1) <= budget does not bound r: (1, 10^6)
-    # fits the default budget and would otherwise make 10^6 gathers
-    _refuse_enumeration(monkeypatch)
+    # fits the default budget and would otherwise draw a state of 10^6 - 1 residues
+    tiles = _count_tiles(monkeypatch)
     for kind in (ONE, LEE):
         assert brute_max_admissible(1, 10**6, kind) == OracleResult(0, ModVec(1, (0,) * 10**6), 1)
+    assert tiles == []
+
+
+def test_integral_arguments_of_any_type_give_python_ints():
+    import numpy as np
+
+    want = brute_max_admissible(5, 3, LEE)
+    for m, r, budget, threads in ((np.int64(5), 3, 10**7, 1), (5, np.int64(3), np.int64(10**7), np.int32(2))):
+        res = brute_max_admissible(m, r, LEE, budget=budget, threads=threads)
+        assert res == want
+        assert type(res.max_norm) is int and type(res.enumerated) is int
+        assert all(type(c) is int for c in res.witness.coords)
+        assert json.loads(json.dumps([res.max_norm, res.enumerated])) == [3, 25]
+
+
+@pytest.mark.parametrize(
+    "args, kw",
+    [
+        ((5.0, 3), {}),
+        ((5, 3.0), {}),
+        (("5", 3), {}),
+        ((5, 3), {"budget": 10**7 + 0.5}),
+        ((5, 3), {"budget": "10000000"}),
+        ((5, 3), {"threads": 1.5}),
+    ],
+    ids=["float-m", "float-r", "str-m", "float-budget", "str-budget", "float-threads"],
+)
+def test_rejects_arguments_that_are_not_integers(args, kw):
+    # floats once failed in the budget check with AttributeError, or (threads) ran
+    with pytest.raises(TypeError):
+        brute_max_admissible(*args, LEE, **kw)
 
 
 def test_rejects_a_kind_that_is_not_a_norm_kind():
@@ -143,36 +187,72 @@ def test_matches_coset_reference(m, r):
 
 @pytest.mark.parametrize("m, r", CRITERION_1_GRID + [(2, 21), (4, 11)])
 def test_matches_coset_reference_one_state_a_chunk(m, r, monkeypatch):
-    # every tie and every witness comparison crosses a chunk boundary
+    # one state a tile: every tie and every witness comparison crosses a tile boundary
     monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 1)
+    tiles = _count_tiles(monkeypatch)
     for kind in (ONE, LEE):
         res = brute_max_admissible(m, r, kind)
         assert (res.max_norm, res.witness.coords, res.enumerated) == _reference(m, r, kind)
+    assert set(tiles) <= {(1, 1)}
 
 
-def _chunks(monkeypatch):
-    """Count the states of each chunk the oracle runs that follow draw."""
-    calls = []
-
-    def counted(states, n):
-        chunk = list(islice(states, n))
-        if chunk:
-            calls.append(len(chunk))
-        return iter(chunk)
-
-    monkeypatch.setattr(oracle, "islice", counted)
-    return calls
+# cells whose states split into a prefix and a suffix (a >= 1) with 97- or 41-entry tiles
+SPLIT_CELLS = [
+    (m, r) for m in range(3, 9) for r in range(3, 8) if m ** (r - 1) <= 2 * 10**6 and (m, r) not in ((3, 3), (3, 4), (4, 3))
+] + [(2, 21), (4, 11)]
 
 
-def test_chunks_hold_at_most_their_entries(monkeypatch):
-    calls = _chunks(monkeypatch)
-    # 2^16 // 24 = 2730 states a chunk: 705 432 states in 259 chunks
+@pytest.mark.parametrize("entries", [97, 41])
+@pytest.mark.parametrize("m, r", SPLIT_CELLS)
+def test_matches_coset_reference_in_prime_tiles(m, r, entries, monkeypatch):
+    # prime tiles, which the shifts (m < entries) do not divide, split the prefixes
+    # of a run into blocks, and at 41 entries the suffixes of m >= 7 into column
+    # blocks too, so that ties cross tile boundaries
+    monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", entries)
+    assert r - 1 - oracle._depth(m, r - 1) >= 1
+    tiles = _count_tiles(monkeypatch)
+    for kind in (ONE, LEE):
+        res = brute_max_admissible(m, r, kind)
+        assert (res.max_norm, res.witness.coords, res.enumerated) == _reference(m, r, kind)
+    _assert_tiles_fit(tiles, m)
+    assert (len(tiles) > tiles.blocks) == (entries == 41 and m >= 7)
+
+
+def _assert_tiles_fit(tiles, m):
+    # no tile holds more than _CHUNK_ENTRIES entries, short of the one-pair minimum of m
+    assert all(m * rows * cols <= oracle._CHUNK_ENTRIES or rows * cols == 1 for rows, cols in tiles)
+
+
+def test_tiles_hold_at_most_their_entries(monkeypatch):
+    tiles = _count_tiles(monkeypatch)
+    # 705 432 states of 7-residue prefixes and 4-residue suffixes in 134 tiles,
+    # each holding one block of prefixes against the suffixes it needs
     assert brute_max_admissible(12, 12, LEE, budget=10**12).max_norm == 36
-    assert len(calls) == 259 and max(calls) == 2730
-    calls.clear()
-    # 2^16 // 103 = 636 states a chunk: 5 050 states in 8 chunks
+    assert len(tiles) == 134 and max(12 * rows * cols for rows, cols in tiles) == 65532
+    _assert_tiles_fit(tiles, 12)
+    tiles.clear()
+    # 5 050 states: 100 one-residue prefixes against the 100 columns of the shift table
     assert brute_max_admissible(100, 3, LEE, budget=10**8).max_norm == h_bound(100, 3)
-    assert calls == [636] * 7 + [comb(101, 2) - 7 * 636]
+    assert len(tiles) == 10 and sum(rows * cols for rows, cols in tiles) == 5687
+    _assert_tiles_fit(tiles, 100)
+
+
+@pytest.mark.parametrize("m, r, count", [(3000, 2, 143), (400, 3, 655), (60, 5, 552)])
+def test_large_modulus_tiles_match_closed_form(m, r, count, monkeypatch):
+    # the suffixes are the columns of the shift table: (3000, 2) and (400, 3) read
+    # it in column blocks of about 2^16 // m, (60, 5) whole against 3-residue prefixes
+    tiles = _count_tiles(monkeypatch)
+    assert brute_max_admissible(m, r, LEE, budget=10**8).max_norm == h_bound(m, r)
+    assert len(tiles) == count
+    _assert_tiles_fit(tiles, m)
+
+
+def test_one_pair_tiles_past_the_chunk(monkeypatch):
+    # with fewer entries than shifts a tile is one (prefix, suffix) pair
+    monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 50)
+    tiles = _count_tiles(monkeypatch)
+    assert brute_max_admissible(60, 3, LEE).max_norm == h_bound(60, 3)
+    assert len(tiles) == comb(61, 2) and set(tiles) == {(1, 1)}
 
 
 @pytest.mark.parametrize("m", [255, 256, 257])
@@ -212,13 +292,29 @@ def test_lee_12_12_runs_in_bounded_memory():
     assert rss_kb < 80 * 1000, rss_kb  # whole histogram at once: 211 MB
 
 
+# every cell with m, r <= 16 whose states x (shifts + coordinates) stay within 2 * 10^5
+MULTISET_GRID = [
+    (m, r) for m in range(1, 17) for r in range(1, 17) if comb(m + r - 2, r - 1) * (m + r) <= 2 * 10**5
+]
+
+
+def _matches_multiset_reference(cells):
+    for m, r in cells:
+        for kind in (ONE, LEE):
+            res = brute_max_admissible(m, r, kind, budget=max(m ** (r - 1), 10**6))
+            assert (res.max_norm, res.witness.coords) == multiset_max_admissible(m, r, kind), (m, r, kind)
+
+
+def test_matches_multiset_reference_beyond_criterion_1():
+    cells = [(m, r) for m, r in MULTISET_GRID if (m, r) not in CRITERION_1_GRID and comb(m + r - 2, r - 1) < 10**4]
+    assert len(cells) == 108
+    _matches_multiset_reference(cells)
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("m, r", [(3000, 2), (400, 3), (60, 5)])
-def test_large_modulus_matches_closed_form(m, r, monkeypatch):
-    # a chunk holds 2^16 // (m + r) states, however large m is
-    calls = _chunks(monkeypatch)
-    assert brute_max_admissible(m, r, LEE, budget=10**8).max_norm == h_bound(m, r)
-    assert len(calls) == ceil(comb(m + r - 2, r - 1) / (oracle._CHUNK_ENTRIES // (m + r)))
+def test_matches_multiset_reference_on_the_whole_grid():
+    assert len(MULTISET_GRID) == 164
+    _matches_multiset_reference(MULTISET_GRID)
 
 
 def test_newly_reachable_grid_matches_closed_forms():

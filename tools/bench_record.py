@@ -7,9 +7,12 @@ was run; its records are read from ``.perfbench_out/runs/*-trace0.json``.
 Runs of the two checkouts are paired by workload and seed.  For every
 workload and every end-to-end metric named in ``BENCHMARK.json``, the file
 holds each side's values in seed order, their median and quartiles, the
-pair count and the number of pairs the change wins (ties count for
-neither side).  It also records both commits, the Python and numpy
-versions, ``nproc`` and the run length.
+change/parent ratio of each pair (median, min and max), the pair count
+and the number of pairs the change wins (ties count for neither side).
+Each workload also records each side's median ``attempted`` operations:
+``peak_rss_mb`` grows with the operations a run fits into its seconds.
+The file also records both commits, the Python and numpy versions,
+``nproc`` and the run length.
 
 The script refuses (exit 1, nothing written) when a record is not
 correct, when the run lengths differ, when one side's records come from
@@ -57,6 +60,13 @@ def _summary(values: list[float]) -> dict:
     return {"values": values, "median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def _ratios(before: list[float], after: list[float], what: str) -> dict:
+    if 0 in before:
+        raise Refusal(f"{what}: a parent value of 0 has no ratio")
+    ratios = [a / b for b, a in zip(before, after)]
+    return {"values": ratios, "median": statistics.median(ratios), "min": min(ratios), "max": max(ratios)}
+
+
 def build(parent_dir: str, change_dir: str, pr: int, benchmark: dict) -> dict:
     parent, change = _records(parent_dir), _records(change_dir)
     unpaired = sorted(set(parent) ^ set(change))
@@ -88,9 +98,14 @@ def build(parent_dir: str, change_dir: str, pr: int, benchmark: dict) -> dict:
                 "better": spec["better"],
                 "parent": _summary(before),
                 "change": _summary(after),
+                "ratio": _ratios(before, after, f"{workload} {name}"),
                 "change_wins": sum(sign * (b - a) > 0 for b, a in zip(before, after)),
             }
-        out["workloads"][workload] = {"pairs": len(seeds), "seeds": seeds, "metrics": metrics}
+        attempted = {
+            side: statistics.median(recs[workload, s]["result"]["attempted"] for s in seeds)
+            for side, recs in (("parent", parent), ("change", change))
+        }
+        out["workloads"][workload] = {"pairs": len(seeds), "seeds": seeds, "attempted": attempted, "metrics": metrics}
     return out
 
 
