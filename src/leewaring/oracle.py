@@ -198,8 +198,8 @@ def brute_max_admissible(
             if peak < best:
                 continue
             tied = (mins == peak).ravel().nonzero()[0]  # i * tile.shape[2] + j: prefix i, suffix lo + j
-            states = tile.transpose(1, 2, 0).reshape(-1, m)  # a view in either layout
-            ids, xs = np.divmod((states[tied] == peak).ravel().nonzero()[0], m)
+            states = tile.transpose(1, 2, 0).reshape(-1, m)[tied]  # tied states' rows, in either layout
+            ids, xs = np.divmod((states == peak).ravel().nonzero()[0], m)
             each = np.zeros((ids.size, r), dtype)  # each maximal state at each minimising shift
             if a:
                 i, j = np.divmod(tied[ids], tile.shape[2])
