@@ -6,6 +6,7 @@ import tracemalloc
 from functools import cache
 from math import comb
 
+import numpy as np
 import pytest
 
 from coset_reference import coset_max_admissible
@@ -133,8 +134,6 @@ def test_unit_modulus_answers_without_enumerating(monkeypatch):
 
 
 def test_integral_arguments_of_any_type_give_python_ints():
-    import numpy as np
-
     want = brute_max_admissible(5, 3, LEE)
     for m, r, budget, threads in ((np.int64(5), 3, 10**7, 1), (5, np.int64(3), np.int64(10**7), np.int32(2))):
         res = brute_max_admissible(m, r, LEE, budget=budget, threads=threads)

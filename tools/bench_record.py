@@ -64,7 +64,7 @@ def _ratios(before: list[float], after: list[float], what: str) -> dict:
     if 0 in before:
         raise Refusal(f"{what}: a parent value of 0 has no ratio")
     ratios = [a / b for b, a in zip(before, after)]
-    return {"values": ratios, "median": statistics.median(ratios), "min": min(ratios), "max": max(ratios)}
+    return {"median": statistics.median(ratios), "min": min(ratios), "max": max(ratios)}
 
 
 def build(parent_dir: str, change_dir: str, pr: int, benchmark: dict) -> dict:
