@@ -14,6 +14,8 @@ from __future__ import annotations
 import enum
 from math import gcd
 
+from .errors import positive
+
 
 class BoundCase(enum.Enum):
     """Which branch of the Lee norm bound h(m, r) applies."""
@@ -25,22 +27,15 @@ class BoundCase(enum.Enum):
     ODD_R_LE = "ODD_R_LE"          # r odd, r <= m:          floor(mr/4 - m/(4r))
 
 
-def _check_dims(m: int, r: int) -> None:
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    if r < 1:
-        raise ValueError(f"dimension must be positive, got {r}")
-
-
 def g_bound(m: int, r: int) -> int:
     """(mr - m - r + gcd(m, r)) / 2, always an integer."""
-    _check_dims(m, r)
+    m, r = positive(m, "modulus"), positive(r, "dimension")
     return (m * r - m - r + gcd(m, r)) // 2
 
 
 def bound_case(m: int, r: int) -> BoundCase:
     """The h_bound branch selected by the parities of m, r and their order."""
-    _check_dims(m, r)
+    m, r = positive(m, "modulus"), positive(r, "dimension")
     if m % 2 == 0:
         if r % 2 == 0:
             return BoundCase.EVEN_EVEN
@@ -52,6 +47,7 @@ def bound_case(m: int, r: int) -> BoundCase:
 
 def h_bound(m: int, r: int) -> int:
     """Largest Lee norm of a minimal-in-coset vector in (Z/mZ)^r."""
+    m, r = positive(m, "modulus"), positive(r, "dimension")
     case = bound_case(m, r)
     if case is BoundCase.EVEN_EVEN:
         return m * r // 4
@@ -70,7 +66,7 @@ def band_c(m: int, r: int) -> int:
     0 <= R < r, the value is Q, Q+1 or Q+2 according to R being zero, odd,
     or positive even, and it is always congruent to m/2 mod 2.
     """
-    _check_dims(m, r)
+    m, r = positive(m, "modulus"), positive(r, "dimension")
     if m % 2 != 0:
         raise ValueError(f"band width needs an even modulus, got {m}")
     if r % 2 != 1:

@@ -27,7 +27,7 @@ from itertools import chain, islice
 from . import bounds as bnd
 from .admissible import is_admissible, norm_sequence
 from .construct import construct_max_lee, construct_max_norm1
-from .errors import BudgetError
+from .errors import BudgetError, charge
 from .ffwaring import (
     DEFAULT_FIELD_BUDGET,
     FqField,
@@ -137,15 +137,9 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _charge(units: int, budget: int, what: str) -> None:
-    """Refuse a command whose work, linear in units, exceeds its budget."""
-    if units > budget:
-        raise BudgetError(units, budget, what)
-
-
 def cmd_construct(args) -> int:
     m, r, kind = args.m, args.r, args.norm
-    _charge(m + r, args.budget, "construction")
+    charge(m + r, args.budget, "construction")
     construct, closed_form = _EXTREMAL[kind]
     v = construct(m, r)
     target = closed_form(m, r)
@@ -170,7 +164,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _charge(args.m + len(args.vec), args.budget, "admissibility check")
+    charge(args.m + len(args.vec), args.budget, "admissibility check")
     v = ModVec(args.m, args.vec)
     kind = args.norm
     seq = norm_sequence(v, kind)

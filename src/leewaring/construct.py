@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import index
 
 from .admissible import m_sequence
+from .errors import dims, positive
 from .modring import ModVec, concat, halve
 
 
@@ -24,8 +26,7 @@ def construct_max_norm1(m: int, r: int) -> ModVec:
     equal to m - k (in descending value order) and fills up with zeros;
     every shift x then raises the norm by exactly rx mod m.
     """
-    if m < 1 or r < 1:
-        raise ValueError(f"m and r must be positive, got m={m}, r={r}")
+    m, r = dims(m, r)
     coords: list[int] = []
     for k in range(1, m):
         t_k = ((r * (k - 1)) % m + r - (r * k) % m) // m
@@ -40,8 +41,7 @@ def full_cycle(m: int) -> ModVec:
     Its Lee norm, m^2/4 for even m and (m^2-1)/4 for odd m, is maximal for
     dimension r = m.
     """
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
+    m = positive(m, "modulus")
     return ModVec(m, range(m))
 
 
@@ -53,10 +53,10 @@ def construct_even_dim(m: int, r: int) -> ModVec:
     that the high plateaus of their norm sequences tile the shift range as
     evenly as possible, leaving shift 0 minimal.
     """
+    r = index(r)
     if r < 2 or r % 2 != 0:
         raise ValueError(f"dimension must be even and >= 2, got {r}")
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
+    m = positive(m, "modulus")
     if m % 2 == 0:
         return ModVec(m, (0, m // 2) * (r // 2))
     step = (m - 1) // 2
@@ -140,7 +140,7 @@ def plan_even_modulus(m: int, r: int) -> MDiffPlan:
     of size Q fill the middle and steps of size Q+1 go first and last so
     the running sums stay inside the band of width band_c(m, r).
     """
-    _check_plan_dims(m, r)
+    m, r = _check_plan_dims(m, r)
     if m % 2 != 0:
         raise ValueError(f"plan needs an even modulus, got {m}")
     q, rem = divmod(m // 2, r)
@@ -164,7 +164,7 @@ def plan_even_vector(m: int, r: int) -> MDiffPlan:
       R = 2 mod 4:               r - R/2 steps Q, then Q+2;
       R = 0 mod 4, R > 0:        r - 1 - (R-4)/2 steps Q, then Q+2, last Q+4.
     """
-    _check_plan_dims(m, r)
+    m, r = _check_plan_dims(m, r)
     if m % 4 != 2:
         raise ValueError(f"even-vector plan needs m = 2 mod 4, got {m}")
     if r > m // 2:
@@ -187,13 +187,13 @@ def plan_even_vector(m: int, r: int) -> MDiffPlan:
     return MDiffPlan(m, _alternate(mags))
 
 
-def _check_plan_dims(m: int, r: int) -> None:
-    if m < 1 or r < 1:
-        raise ValueError(f"m and r must be positive, got m={m}, r={r}")
+def _check_plan_dims(m: int, r: int) -> tuple[int, int]:
+    m, r = dims(m, r)
     if r % 2 != 1:
         raise ValueError(f"plans need an odd dimension, got {r}")
     if r > 2 * m:
         raise ValueError(f"plans need r <= 2m, got r={r}, m={m}")
+    return m, r
 
 
 def _alternate(mags: list[int]) -> tuple[int, ...]:
@@ -206,6 +206,7 @@ def construct_odd_modulus(m: int, r: int) -> ModVec:
     Builds an even admissible vector of norm 2*h_bound(m, r) over Z/2mZ
     and halves it; halving preserves admissibility and halves the norm.
     """
+    m, r = index(m), index(r)
     if m < 1 or m % 2 != 1:
         raise ValueError(f"needs an odd modulus, got {m}")
     if r < 1 or r % 2 != 1 or r > m:
@@ -222,8 +223,7 @@ def construct_max_lee(m: int, r: int) -> ModVec:
     step plan; odd r with odd m via halving (r <= m) or by appending one
     full cycle to the even-dimension solution (m < r < 2m).
     """
-    if m < 1 or r < 1:
-        raise ValueError(f"m and r must be positive, got m={m}, r={r}")
+    m, r = dims(m, r)
     if r >= 2 * m:
         residual = r % m + m
         cycles = full_cycle(m).coords * ((r - residual) // m)

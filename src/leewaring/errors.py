@@ -1,6 +1,9 @@
-"""Shared exception types and the one budget pre-check."""
+"""The boundary checks: integers read by operator.index (a float raises
+TypeError) and refused below 1, and every refusal of a count over its budget."""
 
 from __future__ import annotations
+
+from operator import index
 
 # Counts of more bits print as a power-of-two bound: Python refuses to turn
 # an int of more than 4300 digits into a string.
@@ -29,13 +32,36 @@ class BudgetError(ValueError):
         self.budget = budget
 
 
+def positive(value: int, what: str) -> int:
+    """value as a Python int (operator.index), or ValueError when it is below 1."""
+    n = index(value)
+    if n < 1:
+        raise ValueError(f"{what} must be positive, got {n}")
+    return n
+
+
+def dims(m: int, r: int) -> tuple[int, int]:
+    """(m, r) as Python ints (operator.index), or ValueError unless both are positive."""
+    m, r = index(m), index(r)
+    if m < 1 or r < 1:
+        raise ValueError(f"m and r must be positive, got m={m}, r={r}")
+    return m, r
+
+
+def charge(units: int, budget: int, what: str) -> int:
+    """units, or BudgetError when they exceed budget (read by operator.index)."""
+    if units > (budget := index(budget)):
+        raise BudgetError(units, budget, what)
+    return units
+
+
 def budgeted_power(base: int, exp: int, budget: int, what: str) -> int:
     """base**exp for a budget check, refused before it is built when far over.
 
     base**exp is at least 2^bits with bits = exp * (bit length of base - 1).
     Past both EXACT_BITS and the budget's bit length the power is never
     built: the BudgetError carries 2^bits (capped at 2^(2^24), under 2 MB).
-    Otherwise the power is returned, for the caller to compare with budget.
+    Otherwise the power is returned, for the caller to charge.
     """
     bits = exp * (base.bit_length() - 1)
     if bits > max(EXACT_BITS, budget.bit_length()):

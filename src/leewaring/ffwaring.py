@@ -45,7 +45,7 @@ from math import gcd
 from operator import index
 
 from .bounds import g_bound, h_bound
-from .errors import BudgetError, budgeted_power
+from .errors import budgeted_power, charge, positive
 from .modring import ModVec
 
 DEFAULT_FIELD_BUDGET = 2 * 10**6
@@ -59,6 +59,7 @@ _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; a survivor at or above 3.3e24 raises ValueError."""
+    n = index(n)
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -81,11 +82,6 @@ def _is_prime(n: int) -> bool:
     if n >= _MR_EXACT_BELOW:
         raise ValueError(f"cannot prove {n} prime: Miller-Rabin is exact only below {_MR_EXACT_BELOW}")
     return True
-
-
-def _require_budget(q: int, budget: int) -> None:
-    if q > budget:
-        raise BudgetError(q, budget, "field size")
 
 
 def _prime_divisors(n: int):
@@ -137,12 +133,12 @@ def find_irreducible(p: int, n: int, budget: int = DEFAULT_FIELD_BUDGET) -> tupl
     deterministic (x for n = 1, x^2 + 1 for p = 3, x^2 + 2 for p = 5, ...).
     Since q >= p, a p over the budget is refused before its primality test.
     """
-    _require_budget(p, budget)
+    p, budget = index(p), index(budget)
+    charge(p, budget, "field size")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
-    _require_budget(budgeted_power(p, n, budget, "field size"), budget)
+    n = positive(n, "degree")
+    charge(budgeted_power(p, n, budget, "field size"), budget, "field size")
     return next(poly for poly in _monic(p, n) if _is_irreducible(poly, p))
 
 
@@ -168,10 +164,11 @@ class FqField:
     _tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        p = self.p
+        p = index(self.p)
         if p < 2 or not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        reduced = tuple(c % p for c in self.modulus)
+        reduced = tuple(index(c) % p for c in self.modulus)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "modulus", reduced)
         r = len(reduced)
         if r < 2 or reduced[-1] != 1:
@@ -272,7 +269,7 @@ def is_primitive_root(p: int, r: int) -> bool:
             raise ValueError(f"{n} is not prime")
     if p == r:
         raise ValueError("p and r must be distinct primes")
-    return _generates(p, r)
+    return _generates(index(p), index(r))
 
 
 def _require_primitive_root(p: int, r: int, proved: bool = False) -> None:
@@ -334,8 +331,7 @@ def kth_power_set(f: FqField, k: int):
     """
     import numpy as np
 
-    if k < 1:
-        raise ValueError(f"power must be positive, got {k}")
+    k = positive(k, "power")
     p, n, q = f.p, f.n, f.q
     k_red = gcd(k, q - 1)
     if k_red == 1:
@@ -435,11 +431,8 @@ def _field_levels(f: FqField, k: int, budget: int):
     with levels a read-only memoryview of the int32 array, so levels[rank]
     is one C-level read that returns an int.
     """
-    k = index(k)
-    if k < 1:
-        raise ValueError(f"power must be positive, got {k}")
-    q = f.q
-    _require_budget(q, budget)
+    k = positive(k, "power")
+    q = charge(f.q, budget, "field size")
     table = f._tables.get(k)
     if table is None:
         k_red = gcd(k, q - 1)
@@ -524,7 +517,7 @@ def waring_report(
     """
     computed = waring_number(f, k, budget)
     match = None if formula is None else computed == formula
-    return WaringReport(label, f.p, f.n, f.q, r, k, gcd(k, f.q - 1), computed, formula, match)
+    return WaringReport(label, f.p, f.n, f.q, r, index(k), gcd(k, f.q - 1), computed, formula, match)
 
 
 def _verify_theorem(p: int, r: int, t: int, formula, label: str, budget: int) -> WaringReport:
@@ -534,10 +527,11 @@ def _verify_theorem(p: int, r: int, t: int, formula, label: str, budget: int) ->
     over the budget is refused before its primality test, and a q that
     r - 1 alone puts far over the budget before the primality test of r.
     """
-    _require_budget(p, budget)
+    p, r, budget = index(p), index(r), index(budget)
+    charge(p, budget, "field size")
     q = budgeted_power(p, max(r - 1, 0), budget, "field size")
     _require_primitive_root(p, r)
-    _require_budget(q, budget)
+    charge(q, budget, "field size")
     f = FqField(p, (1,) * r)
     return waring_report(f, (q - 1) // (t * r), formula(p, r), r, label, budget)
 
@@ -558,7 +552,7 @@ def verify_theorem2(p: int, r: int, budget: int = DEFAULT_FIELD_BUDGET) -> Warin
     distinct odd p, r the closed form is floor(pr/4 - p/(4r)) when r < p
     (h's ODD_R_LE case) and floor(pr/4 - r/(4p)) otherwise (ODD_RGT).
     """
-    if p == 2 or r == 2:
+    if 2 in (index(p), index(r)):
         raise ValueError("p and r must be odd primes")
     return _verify_theorem(p, r, 2, h_bound, "g((q-1)/(2r), q)", budget)
 
@@ -571,6 +565,7 @@ def verify_remarks(p: int, budget: int = DEFAULT_FIELD_BUDGET) -> list[WaringRep
     The third applies when p = 3 mod 4 and equals p - 1, computed in
     F_{p^2} built from the smallest irreducible quadratic.
     """
+    p = index(p)
     prime_field = FqField(p, find_irreducible(p, 1, budget))
     k1 = p - 1 if p > 2 else 1
     reports = [waring_report(prime_field, k1, p - 1, 1, "g(p-1, p)", budget)]

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from operator import index
 from typing import Iterable
 
+from .errors import positive
+
 
 class NormKind(enum.Enum):
     """Selector between the least-residue norm and the Lee norm."""
@@ -24,9 +26,8 @@ class NormKind(enum.Enum):
 
 def abs_least_residue(x: int, m: int) -> int:
     """min(c, m - c) for the canonical residue c = x mod m: distance from x to 0."""
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    c = x % m
+    m = positive(m, "modulus")
+    c = index(x) % m
     return min(c, m - c)
 
 
@@ -45,9 +46,7 @@ class ModVec:
     coords: tuple[int, ...]
 
     def __init__(self, modulus: int, coords: Iterable[int] = ()):
-        modulus = index(modulus)
-        if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {modulus}")
+        modulus = positive(modulus, "modulus")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "coords", tuple(index(c) % modulus for c in coords))
 

@@ -44,9 +44,9 @@ Coordinates are one byte each when m <= 256 (packed by bytes() at C
 speed) and intp above.  Norms are int32 when 4 * r * m < 2^31, which
 bounds every norm.
 
-Budget: a run is charged max(m^(r-1), C(m+r-2, r-1) * (m + r)) units
-(cosets covered; states x (shifts + coordinates)) and is refused before
-it allocates when over budget.  The charge bounds the time: the tiles
+Budget: errors.charge refuses a run over budget before it allocates.  It
+is charged max(m^(r-1), C(m+r-2, r-1) * (m + r)) units (cosets covered;
+states x (shifts + coordinates)).  The charge bounds the time: the tiles
 hold at most 2 * states * m entries; the grid and the prefixes, neither
 family more numerous than the states, gather at most r - 1 rows of m
 entries each; and m^(r-1) <= budget gives r - 1 <= log2(budget) for
@@ -66,7 +66,7 @@ from math import comb
 from operator import index
 
 from .admissible import is_admissible
-from .errors import BudgetError, budgeted_power
+from .errors import budgeted_power, charge, dims, positive
 from .modring import ModVec, NormKind, norm, require_kind, weights
 
 DEFAULT_BUDGET = 10**7
@@ -81,15 +81,6 @@ class OracleResult:
     max_norm: int
     witness: ModVec
     enumerated: int
-
-
-def _check_budget(m: int, r: int, budget: int) -> int:
-    """The m^(r-1) cosets covered, once the run is known to fit the budget."""
-    cosets = budgeted_power(m, r - 1, budget, "oracle enumeration")
-    required = max(cosets, comb(m + r - 2, r - 1) * (m + r))
-    if required > budget:
-        raise BudgetError(required, budget, "oracle enumeration")
-    return cosets
 
 
 def _depth(m: int, k: int) -> int:
@@ -131,17 +122,16 @@ def brute_max_admissible(
 
     m, r, budget and threads must be integers (operator.index); a float or a
     string raises TypeError.  Raises BudgetError over budget and TypeError
-    when kind is not a NormKind.  threads must be positive; the work is serial.
+    when kind is not a NormKind.  threads must be at least 1; the work is serial.
     """
     m, r, budget, threads = index(m), index(r), index(budget), index(threads)
-    if m < 1 or r < 1:
-        raise ValueError(f"m and r must be positive, got m={m}, r={r}")
-    if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
+    dims(m, r)
+    positive(threads, "threads")
     require_kind(kind)
     if r == 1:  # one coordinate: every coset holds (0,), of norm 0
         return OracleResult(0, ModVec(m, (0,)), 1)
-    cosets = _check_budget(m, r, budget)
+    cosets = budgeted_power(m, r - 1, budget, "oracle enumeration")
+    charge(max(cosets, comb(m + r - 2, r - 1) * (m + r)), budget, "oracle enumeration")
     if m == 1:  # every coordinate is 0
         return OracleResult(0, ModVec(1, (0,) * r), 1)
     import numpy as np
@@ -173,18 +163,17 @@ def brute_max_admissible(
         lead = None
     n = suffix.shape[0]
     if a:
-        # prefixes are drawn as t and read as the residues m - 1 - t, so that their maxima
-        # fall in draw order; item t of flipped is the row w[(x - 1 - t) % m]
-        prefixes = combinations_with_replacement(range(m), a)
-        flipped = np.ndarray(m, (np.void, item * m), buffer=ww, offset=(m - 1) * item, strides=(-item,))
+        # drawn from the falling residues, each prefix falls, so that its first residue is
+        # its maximum and the maxima fall in draw order
+        prefixes = combinations_with_replacement(range(m - 1, -1, -1), a)
     best, top = -1, None  # top: the best witness, sorted
     for rows, start, width in _tiles(m, a, d):
         score = lead  # score[x, i]: prefix i at shift x, with row 0 when d = 1
         if a:
             drawn = pack(chain.from_iterable(islice(prefixes, rows))).reshape(rows, a)
-            own = flipped[drawn[:, 0]].view(dtype).reshape(rows, m)
+            own = table[drawn[:, 0]].view(dtype).reshape(rows, m)
             for t in range(1, a):
-                own += flipped[drawn[:, t]].view(dtype).reshape(rows, m)
+                own += table[drawn[:, t]].view(dtype).reshape(rows, m)
             score = own.T if lead is None else own.T + lead
         # a tile of fewer states than shifts is laid out state by state, so that the
         # minima run along rows of m entries rather than across short ones
@@ -203,7 +192,7 @@ def brute_max_admissible(
             each = np.zeros((ids.size, r), dtype)  # each maximal state at each minimising shift
             if a:
                 i, j = np.divmod(tied[ids], tile.shape[2])
-                each[:, 1:a + 1] = m - 1 - drawn[i]
+                each[:, 1:a + 1] = drawn[i]
             else:
                 j = tied[ids]
             each[:, a + 1:] = suffix[lo:][j]

@@ -1,14 +1,16 @@
 import pytest
 
 import leewaring
-from leewaring import admissible, construct, ffwaring, modring, oracle
+from leewaring import admissible, bounds, cli, construct, errors, ffwaring, modring, oracle
 
 # norm_steps became the bends of a weight table inside shift_norms,
-# _budgeted_cyclotomic_field folded into the one theorem path, and
-# covering_radius was h_bound under a second name
+# _budgeted_cyclotomic_field folded into the one theorem path,
+# covering_radius was h_bound under a second name, and the four private
+# budget and dimension checks became errors.charge, positive and dims
 DELETED = (
     "optimal_pair", "double_embed", "least_residue", "all_ones", "brute_covering_radius",
     "norm_steps", "_budgeted_cyclotomic_field", "covering_radius",
+    "_charge", "_require_budget", "_check_budget", "_check_dims",
 )
 # (class, attribute): a method folded into what it wrapped (FqField.rank(a) is a.rank),
 # ModVec.dim, which nothing read (len(v) gives it), and FqElem's arithmetic operators
@@ -29,7 +31,7 @@ def test_deleted_names_are_gone(name):
     assert name not in leewaring.__all__
     with pytest.raises(ImportError):
         exec(f"from leewaring import {name}", {})
-    for module in (admissible, construct, ffwaring, modring, oracle):
+    for module in (admissible, bounds, cli, construct, errors, ffwaring, modring, oracle):
         assert not hasattr(module, name), (module.__name__, name)
 
 
