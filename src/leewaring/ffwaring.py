@@ -15,18 +15,18 @@ minimal power-sum representations to minimal-in-coset residue vectors.
 The nonzero k-th powers are the cyclic subgroup of F* of order
 d = (q-1)/gcd(k, q-1), listed as the powers of one element of order d.
 The scan for that element starts at rank p, outside the prime field, and
-the powers are listed by doubling into one array of exactly d digit rows,
-filled in place, whose ranks come back as one sorted array, 0 first.
-The sumset BFS works on element ranks: adding a power adds its digits
-mod p to the digits of a whole frontier at once, and the result is a
-numpy level array indexed by rank.  Each FqField holds the level arrays
-it has computed, keyed by the exponent as given and by the reduced one,
-so a table lives exactly as long as its field and a repeated read costs
-one dict lookup.  When gcd(k, q-1) = 1 every element is a k-th power, so
-the table is 0 at rank 0 and 1 elsewhere, g = 1, with no power set and no
-BFS.  A kept table is read through a read-only memoryview of its int32
-array, so per_element_length's read by rank is one C-level index that
-returns an int; pickle and deepcopy carry the array and rebuild the view.
+each power is the one before times it: an int product in F_p, two table
+lookups and a lane-wise sum otherwise.  The ranks come back as one sorted
+list, 0 first.  The sumset BFS switches by level between a sparse step on
+rank lists and a dense step on bitsets, Python ints with one bit per rank,
+in which adding a power rotates axes of the (p,)*n digit cube by shifts
+and masks.  Its levels end as one table indexed by rank: bytes, or an
+array of wider entries past level 254.  Each FqField holds the tables it
+has computed, keyed by the exponent as given and by the reduced one, so a
+table lives exactly as long as its field and a repeated read costs one
+dict lookup.  When gcd(k, q-1) = 1 every element is a k-th power, so the
+table is 0 at rank 0 and 1 elsewhere, g = 1, with no power set and no
+BFS.  The field side imports no numpy.
 
 Elements are built at the edge only: the powers, the BFS and the table
 reads run on ranks, so no FqElem is built on the way to a Waring number.
@@ -39,6 +39,7 @@ g((q-1)/(2r), q) = h_bound(p, r), which verify_theorem1/2 check by BFS.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, field
 from itertools import chain, product
 from math import gcd
@@ -160,7 +161,6 @@ class FqField:
     modulus: tuple[int, ...]
     cyclotomic_order: int | None = field(init=False, repr=False, compare=False)
     q: int = field(init=False, repr=False, compare=False)
-    _place: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -181,22 +181,19 @@ class FqField:
         object.__setattr__(self, "cyclotomic_order", r if cyclotomic else None)
         n = r - 1
         object.__setattr__(self, "q", p**n)
-        object.__setattr__(self, "_place", tuple(p**i for i in range(n)))
         object.__setattr__(self, "_tables", {})
-
-    def __getstate__(self) -> dict:
-        """Pickle and deepcopy carry each kept level array in place of its view."""
-        tables = {k: (levels.obj, g) for k, (levels, g) in self._tables.items()}
-        return {**self.__dict__, "_tables": tables}
-
-    def __setstate__(self, state: dict) -> None:
-        """View each carried array again."""
-        tables = {k: _kept(levels, g) for k, (levels, g) in state.pop("_tables").items()}
-        self.__dict__.update(state, _tables=tables)
 
     @property
     def n(self) -> int:
         return len(self.modulus) - 1
+
+    @property
+    def _place(self) -> tuple[int, ...]:
+        """The place values p^i of the rank digits, built on the first read."""
+        place = self.__dict__.get("_place_values")
+        if place is None:
+            place = self.__dict__["_place_values"] = tuple(self.p**i for i in range(self.n))
+        return place
 
     def elements(self):
         """All q elements, in rank order, built lazily."""
@@ -324,18 +321,14 @@ def kth_power_set(f: FqField, k: int):
     d | p-1, and for n > 1 a primitive element outside F_p always does.
     Each candidate's digits are read off its rank; no FqElem is built.
 
-    The d powers are listed by doubling into one array of exactly d digit
-    rows, filled in place: rows 0..m-1 times M(b^m) mod p are the rows of
-    b^m..b^(2m-1), cut at row d.  The arithmetic is int64 while no sum can
-    reach 2^63, and Python ints beyond that; gcd(k, q-1) = 1 gives arange(q).
+    The result is one list of int ranks, 0 first (the powers come from
+    _power_ranks and are sorted in place); gcd(k, q-1) = 1 gives range(q).
     """
-    import numpy as np
-
     k = positive(k, "power")
     p, n, q = f.p, f.n, f.q
     k_red = gcd(k, q - 1)
     if k_red == 1:
-        return np.arange(q)
+        return range(q)
     d = (q - 1) // k_red
     cofactors = [d // ell for ell in _prime_divisors(d)]
     one = (1,) + (0,) * (n - 1)
@@ -343,83 +336,268 @@ def kth_power_set(f: FqField, k: int):
         b = _pow(f, tuple(t // v % p for v in f._place), k_red)
         if all(_pow(f, b, c) != one for c in cofactors):
             break
-    dtype = np.int64 if max(n * (p - 1) ** 2, q - 1) < 2**63 else object
-    rows = np.empty((d, n), dtype=dtype)
-    rows[0], m = one, 1
-    while m < d:
-        block = rows[m : 2 * m]
-        np.matmul(rows[: len(block)], np.array(_times_matrix(f, b), dtype=dtype), out=block)
-        block %= p
-        b, m = _mul(f, b, b), 2 * m
-    return np.sort(np.concatenate(([0], rows @ np.array(f._place, dtype=dtype))))
+    ranks = _power_ranks(f, b, d)
+    ranks.append(0)
+    ranks.sort()
+    return ranks
 
 
-def _digits(ranks, p: int, n: int) -> list:
-    """Base-p digits of each rank, one array per position (constant first)."""
-    import numpy as np
+def _power_ranks(f: FqField, b: tuple[int, ...], d: int) -> list[int]:
+    """The ranks of b^0, ..., b^(d-1), each power the one before times b.
 
-    dtype = np.uint8 if p <= 256 else np.int64
-    return [(ranks // p**i % p).astype(dtype) for i in range(n)]
+    In F_p the powers are int products mod p.  Otherwise multiplication by
+    b maps the digits linearly (row j of M(b) is the image of x^j), so the
+    image of a rank is the digit-wise sum of the images of its h low and
+    n - h high digits.  While the two half-tables of those images, p^h and
+    p^(n-h) entries, are together smaller than d, each element is held as
+    its digits in lanes of w bits, and the next power is two lookups, one
+    carry-free add and one lane-wise subtract of p from the lanes at p or
+    above (the lane at p or above is the one whose top bit the add of
+    2^(w-1) - p sets).  Each table value carries the rank of its half under
+    the image, so the rank costs one mask.  Otherwise the powers are
+    products on the digit tuples.
+    """
+    p, n = f.p, f.n
+    out = []
+    if n == 1:
+        x, b = 1, b[0]
+        for _ in range(d):
+            out.append(x)
+            x = x * b % p
+        return out
+    place = f._place
+    h = n // 2
+    if p**h + p ** (n - h) >= d:
+        x = (1,) + (0,) * (n - 1)
+        for _ in range(d):
+            out.append(sum(c * v for c, v in zip(x, place)))
+            x = _mul(f, x, b)
+        return out
+    w = p.bit_length() + 1
+    ones = sum(1 << (i * w) for i in range(n))
+    top, rise = w - 1, ones * ((1 << (w - 1)) - p)
+    shift = f.q.bit_length()  # the image's lanes sit above the rank
+
+    def half(rows, values):
+        """{lanes of y: lanes of image(y) << shift | rank of y} over the digits y of one half."""
+        keys, vals = [0], [0]
+        for j, (row, v) in enumerate(zip(rows, values)):
+            key, val = 1 << (j * w), (sum(c << (i * w) for i, c in enumerate(row)) << shift) + v
+            ks, vs = keys, vals
+            for _ in range(p - 1):
+                ks = [y + key for y in ks]
+                vs = [y + val for y in vs]
+                vs = [y - (((y >> shift) + rise >> top & ones) * p << shift) for y in vs]
+                keys, vals = keys + ks, vals + vs
+        return dict(zip(keys, vals))
+
+    rows = _times_matrix(f, b)
+    low, high = half(rows[:h], place[:h]), half(rows[h:], place[h:])
+    low_lanes, split, rank_bits = (1 << (h * w)) - 1, h * w, (1 << shift) - 1
+    z = 1
+    for _ in range(d):
+        v = low[z & low_lanes] + high[z >> split]
+        out.append(v & rank_bits)
+        z = v >> shift
+        z -= (z + rise >> top & ones) * p
+    return out
+
+
+# The switch between the two BFS steps compares their costs in Python steps.
+# The sparse step costs about one step per (frontier, power) pair and digit;
+# the dense step costs n rotations per translate, each about
+# _ROTATION_STEPS steps of Python overhead plus its big-int work on q/64
+# machine words, of which one step does about _WORDS_PER_STEP.
+_ROTATION_STEPS = 12
+_WORDS_PER_STEP = 8
+# Sixteen masks of q bits take 2q bytes, as much as the level table's build.
+_MASKS_KEPT = 16
+_SPREAD_RANKS = 1 << 20
+
+
+def _bits(ranks, q: int) -> int:
+    """The bitset of the ranks, set through a bitmap of q bits."""
+    bitmap = bytearray((q + 7) >> 3)
+    for t in ranks:
+        bitmap[t >> 3] |= 1 << (t & 7)
+    return int.from_bytes(bitmap, "little")
+
+
+def _ranks(bits: int):
+    """The ranks in a bitset, in increasing order, read off its binary text."""
+    text = format(bits, "b")
+    top = len(text) - 1
+    j = text.rfind("1")
+    while j >= 0:
+        yield top - j
+        j = text.rfind("1", 0, j)
+
+
+def _low_mask(p: int, q: int, v: int, c: int) -> int:
+    """The ranks whose digit of place value v is below p - c: (p - c) v ones at
+    the foot of every block of p v, one block doubled until it covers q bits."""
+    mask, width = (1 << (p - c) * v) - 1, p * v
+    while width < q:
+        step = min(width, q - width)  # both multiples of the period p v
+        mask |= mask >> width - step << width
+        width += step
+    return mask
+
+
+def _sparse_step(frontier: list, powers: list, bitmap: bytearray, place: list, p: int) -> list:
+    """The ranks of frontier + powers missing from the bitmap, added to it.
+
+    Each entry a of the shorter list translates the longer one: digit i of
+    u + a wraps exactly when digit i of u is at least p - a_i, and then the
+    rank loses p^(i+1).
+    """
+    shifts, base = (frontier, powers) if len(frontier) <= len(powers) else (powers, frontier)
+    fresh = []
+    for a in shifts:
+        steps = [(v, p - c, v * p) for v in place if (c := a // v % p)]
+        for u in base:
+            t = u + a
+            for v, low, wrap in steps:
+                if u // v % p >= low:
+                    t -= wrap
+            byte, bit = t >> 3, 1 << (t & 7)
+            if not bitmap[byte] & bit:
+                bitmap[byte] |= bit
+                fresh.append(t)
+    return fresh
+
+
+def _level_table(planes: list, sparse: list, q: int, depth: int, unreached: int):
+    """The level of every rank, from the bit planes of the dense levels and
+    the (level, ranks) of the sparse ones, with the ranks never reached at
+    the largest entry value; the planes are emptied on the way.
+
+    The entries are bytes while depth fits a byte, else 2- or 4-byte array
+    entries.  The planes' bits are spread to the entries at C speed, one
+    chunk of _SPREAD_RANKS ranks at a time: a plane's binary text, encoded
+    one '0' or '1' per entry width, has its '1' bytes translated to the
+    plane's bit, and is read back as an int.
+    """
+    from array import array
+
+    code = "B" if depth < 255 else "H" if depth < 65535 else "I"
+    width = array(code).itemsize
+    if unreached:
+        planes += [0] * (8 * width - len(planes))
+        planes[:] = [plane | unreached for plane in planes]
+    codec = {1: "ascii", 2: "utf-16-be", 4: "utf-32-be"}[width]
+    spreads = [
+        (plane.to_bytes((q + 7) >> 3, "little"), bytes.maketrans(b"01", bytes((0, 1 << b % 8))), b & ~7)
+        for b, plane in enumerate(planes)
+        if plane
+    ]
+    planes.clear()
+    out = bytearray(q * width)
+    for lo in range(0, q if spreads else 0, _SPREAD_RANKS):
+        hi = min(lo + _SPREAD_RANKS, q)
+        chunk = 0
+        for plane, bit, shift in spreads:
+            text = format(int.from_bytes(plane[lo >> 3 : (hi + 7) >> 3], "little"), f"0{hi - lo}b")
+            chunk |= int.from_bytes(text.encode(codec).translate(bit), "big") << shift
+        out[lo * width : hi * width] = chunk.to_bytes((hi - lo) * width, "little")
+    del spreads
+    table = array(code, out)
+    del out
+    if sys.byteorder == "big":
+        table.byteswap()
+    for level, ranks in sparse:
+        for t in ranks:
+            table[t] = level
+    return table.tobytes() if code == "B" else table
 
 
 def _sumset_levels(f: FqField, k_red: int):
     """BFS levels of the sumset growth A_0 = {0}, A_{j+1} = A_j + powers.
 
-    Returns (int32 level per rank, least g with A_g = F) with g None when
-    the powers only generate a proper additive subgroup, and level -1 on
-    the ranks never reached.  The array is read-only; _field_levels keeps
+    Returns (level table, least g with A_g = F) with g None when the powers
+    only generate a proper additive subgroup; the table is bytes (or an
+    array of wider entries past level 254) indexed by rank, and holds the
+    largest entry value at the ranks never reached.  _field_levels keeps
     it on the field.
-
-    A level translates the longer of frontier and powers by each entry s
-    of the shorter.  Digit i of u + s wraps exactly when digit i of u is
-    at least p - s_i, so the rank of the sum is the integer u + s less
-    p^(i+1) for each wrapping digit.  A translate has no repeats, and
-    ranks levelled before are dropped from it, so working memory stays
-    linear in the frontier and the powers (digits are kept as bytes
-    where p allows).
     """
-    import numpy as np
+    q = f.q
+    if k_red == 1:  # every element is a first power: no set, no BFS
+        return b"\0" + b"\1" * (q - 1), 1
+    planes, sparse, depth, unreached = _bfs(f, kth_power_set(f, k_red)[1:])
+    return _level_table(planes, sparse, q, depth, unreached), (None if unreached else depth)
 
-    p, n, q = f.p, f.n, f.q
-    if k_red == 1:  # every element is a first power: no set, no sort, no BFS
-        levels = np.ones(q, dtype=np.int32)
-        levels[0] = 0
-        levels.flags.writeable = False
-        return levels, 1
-    powers = kth_power_set(f, k_red)[1:].astype(np.int64, copy=False)  # an index dtype, also for object rows
-    power_digits = _digits(powers, p, n)
-    levels = np.full(q, -1, dtype=np.int32)
-    levels[0] = 0
-    frontier = np.zeros(1, dtype=np.int64)
-    seen, depth = 1, 0
-    while frontier.size and seen < q:
+
+def _bfs(f: FqField, powers: list) -> tuple:
+    """The BFS from 0 by the powers: (bit planes of the dense levels, the
+    (level, ranks) of the sparse ones, the last level, the unreached ranks).
+
+    Each level takes the cheaper of two steps (a direction-optimizing BFS,
+    after Beamer, Asanovic and Patterson, SC 2012).  The sparse step sums
+    the frontier and the powers pair by pair as rank lists, against a
+    bitmap of the ranks seen.  The dense step holds sets as bitsets, ints
+    with bit t set for rank t, and translates the shorter of frontier and
+    powers by each entry of the other: adding c to digit i rotates that
+    axis of the (p,)*n digit cube, one mask, two shifts and an or.  It
+    stops once no rank is left to reach.  Plane b holds the ranks whose
+    dense level has bit b set.  The first _MASKS_KEPT masks are kept for
+    the whole BFS, the others built again at each use.
+    """
+    p, q = f.p, f.q
+    place = f._place
+    full, size, seen, depth = (1 << q) - 1, 1, 1, 0
+    frontier, front_bits, power_bits = [0], None, None
+    bitmap, unseen = bytearray((q + 7) >> 3), None  # the ranks seen, or those not seen
+    bitmap[0] = 1
+    sparse, planes, masks = [], [], {}
+
+    def translate(bits: int, a: int) -> int:
+        for i, v in enumerate(place):
+            if c := a // v % p:
+                mask = masks.get((i, c))
+                if mask is None:
+                    mask = _low_mask(p, q, v, c)
+                    if len(masks) < _MASKS_KEPT:
+                        masks[i, c] = mask
+                low = bits & mask
+                bits = low << c * v | (bits ^ low) >> (p - c) * v
+        return bits
+
+    while size and seen < q:
         depth += 1
-        if frontier.size <= powers.size:
-            shifts, base, base_digits = frontier.tolist(), powers, power_digits
+        # pairs x n steps, against translates x n rotations of _ROTATION_STEPS
+        # steps and q/64 words each
+        if size * len(powers) <= min(size, len(powers)) * (_ROTATION_STEPS + (q >> 6) / _WORDS_PER_STEP):
+            if frontier is None:
+                frontier = list(_ranks(front_bits))
+            if bitmap is None:
+                bitmap, unseen = bytearray((full ^ unseen).to_bytes((q + 7) >> 3, "little")), None
+            frontier, front_bits = _sparse_step(frontier, powers, bitmap, place, p), None
+            sparse.append((depth, frontier))
+            size = len(frontier)
         else:
-            shifts, base, base_digits = powers.tolist(), frontier, _digits(frontier, p, n)
-        fresh = []
-        for s in shifts:
-            t = base + s
-            for i, digits in enumerate(base_digits):
-                si = s // p**i % p
-                if si:
-                    np.subtract(t, p ** (i + 1), out=t, where=digits >= p - si)
-            t = t[levels[t] < 0]
-            levels[t] = depth
-            fresh.append(t)
-            seen += t.size
-            if seen == q:
-                break
-        frontier = np.concatenate(fresh)
-    levels.flags.writeable = False
-    return levels, (depth if seen == q else None)
-
-
-def _kept(levels, g: int | None) -> tuple:
-    """The kept form of a level table: a read-only view of the array (no copy) and g."""
-    levels.flags.writeable = False
-    return memoryview(levels), g
+            if unseen is None:
+                unseen, bitmap = full ^ int.from_bytes(bitmap, "little"), None
+            if size < len(powers):
+                if power_bits is None:
+                    power_bits = _bits(powers, q)
+                shifts, base = frontier if frontier is not None else _ranks(front_bits), power_bits
+            else:
+                shifts, base = powers, front_bits if front_bits is not None else _bits(frontier, q)
+            rest = unseen
+            for a in shifts:
+                rest ^= rest & translate(base, a)
+                if not rest:
+                    break
+            front_bits, frontier, unseen = unseen ^ rest, None, rest
+            size = front_bits.bit_count()
+            planes += [0] * (depth.bit_length() - len(planes))
+            for b in range(depth.bit_length()):
+                if depth >> b & 1:
+                    planes[b] |= front_bits
+        seen += size
+    if seen == q:
+        return planes, sparse, depth, 0
+    return planes, sparse, depth, unseen if bitmap is None else full ^ int.from_bytes(bitmap, "little")
 
 
 def _field_levels(f: FqField, k: int, budget: int):
@@ -427,9 +605,8 @@ def _field_levels(f: FqField, k: int, budget: int):
     and q within the budget, computed once per field and kept on it.
 
     A table is kept under k as well as under gcd(k, q-1), so a repeated
-    read is the two checks and one dict hit.  It is kept as (levels, g)
-    with levels a read-only memoryview of the int32 array, so levels[rank]
-    is one C-level read that returns an int.
+    read is the two checks and one dict hit.  It is kept as (levels, g),
+    and levels[rank] is one C-level read that returns an int.
     """
     k = positive(k, "power")
     q = charge(f.q, budget, "field size")
@@ -438,7 +615,7 @@ def _field_levels(f: FqField, k: int, budget: int):
         k_red = gcd(k, q - 1)
         table = f._tables.get(k_red)
         if table is None:
-            table = _kept(*_sumset_levels(f, k_red))
+            table = _sumset_levels(f, k_red)
         f._tables[k] = f._tables[k_red] = table
     return table
 
@@ -456,14 +633,15 @@ def per_element_length(f: FqField, k: int, a: FqElem, budget: int = DEFAULT_FIEL
     """Least number of k-th powers summing to a (0 for a = 0, empty sum).
 
     A kept table is read in place: its key is an int k >= 1, so a hit needs
-    only the budget check, and a miss or a refusal goes to _field_levels,
-    which makes the checks in the same order.
+    only the budget check, made inline for an exact int budget.  A miss, a
+    refusal or any other budget (a float, a numpy integer) goes to
+    _field_levels, which makes the checks in the same order.
     """
     if a.field is not f and a.field != f:
         raise ValueError("element belongs to a different field")
     k = index(k)
     table = f._tables.get(k)
-    if table is None or f.q > budget:
+    if table is None or type(budget) is not int or f.q > budget:
         table = _field_levels(f, k, budget)
     levels, g = table
     if g is None:

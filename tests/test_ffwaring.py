@@ -10,9 +10,9 @@ import sys
 import time
 import tracemalloc
 import weakref
+from array import array
 from math import gcd, isqrt
 
-import numpy as np
 import pytest
 
 from leewaring import (
@@ -281,6 +281,20 @@ def test_a_safe_prime_is_tested_without_trial_division_to_its_root():
     assert time.perf_counter() - start < 0.5
 
 
+# The place values p^i of the rank digits are built on the first read of a
+# rank's digits, not by the field gate: building all 40 012 of them here took
+# 1.4 s and peaked at 104 MiB; the gate alone peaks at 0.9 MiB (Python 3.11).
+def test_the_field_gate_builds_no_place_values():
+    tracemalloc.start()
+    try:
+        f = cyclotomic_field(2, 40013)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.q == 2**40012 and peak < 4 * 2**20, peak
+    assert FqElem(cyclotomic_field(3, 5), 3 + 2 * 27).coeffs == (0, 1, 0, 2)  # read on demand
+
+
 def test_cyclotomic_field_builds_exactly_when_the_modulus_is_irreducible():
     # trial division up to degree (r-1)/2 costs about p^((r-1)/2) divisions
     pairs = [
@@ -353,9 +367,9 @@ def test_prime_field_levels_are_the_norm_weights(p):
     """Both sides of the reduction at n = 1, where rank is residue: the Waring
     levels of k = (p-1)/t in F_p are the ONE (t = 1) and LEE (t = 2) weights."""
     f = FqField(p, (0, 1))
-    assert _sumset_levels(f, p - 1)[0].tolist() == weights(p, NormKind.ONE)
+    assert list(_sumset_levels(f, p - 1)[0]) == weights(p, NormKind.ONE)
     if p > 2:
-        assert _sumset_levels(f, (p - 1) // 2)[0].tolist() == weights(p, NormKind.LEE)
+        assert list(_sumset_levels(f, (p - 1) // 2)[0]) == weights(p, NormKind.LEE)
 
 
 def test_field_arithmetic_basics():
@@ -441,12 +455,14 @@ def test_kth_power_set_examples():
     f4 = cyclotomic_field(2, 3)
     assert {FqElem(f4, t).coeffs for t in kth_power_set(f4, 3)} == {(0, 0), (1, 0)}
     f5 = FqField(5, find_irreducible(5, 1))
-    assert set(kth_power_set(f5, 2).tolist()) == {0, 1, 4}
-    assert set(kth_power_set(f5, 1).tolist()) == set(kth_power_set(f5, 3).tolist()) == set(range(5))
+    assert kth_power_set(f5, 2) == [0, 1, 4]
+    assert kth_power_set(f5, 1) == kth_power_set(f5, 3) == range(5)
     f81 = cyclotomic_field(3, 5)
-    for k in (1, 16, 80):
+    assert kth_power_set(f81, 1) == range(81)  # gcd(1, 80) = 1: every element
+    for k in (16, 80):  # sorted int ranks, 0 first
         powers = kth_power_set(f81, k)
-        assert type(powers) is np.ndarray and powers.dtype == np.int64
+        assert type(powers) is list and all(type(t) is int for t in powers)
+        assert powers[0] == 0 and powers == sorted(set(powers)) and len(powers) == 1 + 80 // k
     with pytest.raises(ValueError, match="positive"):
         kth_power_set(f5, 0)
 
@@ -457,14 +473,14 @@ def test_kth_power_set_matches_direct_powers():
         for _ in range(5):
             k = rng.randrange(1, 50)
             direct = {_elem(f, _pow(f, a.coeffs, k)).rank for a in f.elements()}
-            assert set(kth_power_set(f, k).tolist()) == direct
+            assert set(kth_power_set(f, k)) == direct
             assert len(direct) == 1 + (f.q - 1) // gcd(k, f.q - 1)
     # every subgroup order d | q - 1, from d = q - 1 (48 = 2^4 * 3, 63 = 3^2 * 7) down to d = 1
     for f in (FqField(7, find_irreducible(7, 2)), FqField(2, find_irreducible(2, 6))):
         for k in range(1, f.q):
             if (f.q - 1) % k == 0:
                 direct = {_elem(f, _pow(f, a.coeffs, k)).rank for a in f.elements()}
-                assert set(kth_power_set(f, k).tolist()) == direct
+                assert set(kth_power_set(f, k)) == direct
                 assert len(direct) == 1 + (f.q - 1) // k
 
 
@@ -488,6 +504,50 @@ def test_kth_power_set_stays_exact_beyond_int64():
     assert f.q > 2**63
     roots = set(kth_power_set(f, (f.q - 1) // 67))
     assert roots == {0, 2**66 - 1} | {2**i for i in range(66)}  # xi^66 = 1 + xi + ... + xi^65
+
+
+def _without_numpy(script, relay=False):
+    """Run script in a child process in which importing numpy raises ImportError.
+
+    With relay, a small interpreter starts the child, so that the child's
+    ru_maxrss leaves this process out: Linux counts the resident set of the
+    process that starts a program in the program's ru_maxrss.
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ffwaring.__file__)))
+    argv = [sys.executable, "-c", "import sys\nsys.modules['numpy'] = None\n" + script]
+    if relay:
+        argv = [sys.executable, "-c", "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)", *argv]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+FIELD_COMMANDS = [
+    ["thm1", "--p", "3", "--r", "5"],
+    ["thm2", "--p", "5", "--r", "3", "--format", "json"],
+    ["remarks", "--p", "7"],
+    ["generic", "--p", "2", "--n", "16", "--k", "3"],
+]
+
+
+def test_the_field_side_runs_without_numpy(capsys):
+    script = f"""
+from leewaring import (FqElem, cyclotomic_field, kth_power_set, per_element_length,
+                       verify_remarks, verify_theorem1, verify_theorem2, waring_number)
+from leewaring.cli import main
+assert verify_theorem1(3, 5).match and verify_theorem2(5, 3).match
+assert [rep.computed_g for rep in verify_remarks(7)] == [6, 3, 6]
+f = cyclotomic_field(3, 5)
+assert waring_number(f, 16) == 4 and per_element_length(f, 16, FqElem(f, 3)) == 1
+assert kth_power_set(f, 40) == [0, 1, 2] and kth_power_set(f, 3) == range(81)
+assert [main(["waring", *argv]) for argv in {FIELD_COMMANDS!r}] == [0, 0, 0, 0]
+"""
+    got = _without_numpy(script)
+    from leewaring import cli
+
+    for argv in FIELD_COMMANDS:
+        assert cli.main(["waring", *argv]) == 0
+    assert got == capsys.readouterr().out
 
 
 def test_waring_number_examples():
@@ -590,7 +650,7 @@ def test_powers_tables_and_reads_build_no_element(monkeypatch):
     monkeypatch.setattr(ffwaring, "FqElem", refuse)
     monkeypatch.setattr(ffwaring, "_elements", refuse)
     f = cyclotomic_field(3, 5)  # fresh: no kept table
-    assert len(kth_power_set(f, 16)) == 6 and set(kth_power_set(f, 3).tolist()) == set(range(f.q))
+    assert len(kth_power_set(f, 16)) == 6 and kth_power_set(f, 3) == range(f.q)
     assert waring_number(f, 16) == 4 and waring_number(f, 1) == 1
     assert per_element_length(read, 48, a) == 1
 
@@ -624,7 +684,7 @@ def test_a_kept_table_still_gets_every_check():
         per_element_length(f4, 3, FqElem(f4, 1), budget=3)
 
 
-@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (7, 2), (43, 2), (13, 1)])
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (7, 2), (43, 2), (13, 1), (257, 1)])
 def test_the_kept_table_read_matches_the_level_array(p, n):
     assert (p, n) in BFS_GRID
     f = FqField(p, find_irreducible(p, n))
@@ -640,8 +700,8 @@ def test_the_kept_table_read_matches_the_level_array(p, n):
         for a in f.elements():
             length = per_element_length(f, k, a)
             assert type(length) is int and length == levels[a.rank]
-        view = f._tables[k][0]  # a read-only view of the one level array
-        assert view.readonly and not view.obj.flags.writeable and view.obj.base is None
+        kept = f._tables[k][0]  # bytes, one per rank, or 2-byte entries past level 254
+        assert type(kept) is (bytes if g < 255 else array) and kept == levels and len(kept) == f.q
     assert spanned
     for c in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
         assert c == f and c._tables.keys() == f._tables.keys()
@@ -661,20 +721,23 @@ def _peak_of_waring_number(f, k):
 
 # Sorting a first-power rank set in numpy peaked here at 5.00 MiB, and in
 # Python (a second q-sized set, then a list) at 7.99 MiB (numpy 2.4, Python
-# 3.11); the bound sits midway.  The k = 1 table now needs no powers (0.25 MiB).
+# 3.11); the bound sits midway.  The k = 1 table needs no powers: 0.13 MiB as
+# bytes, 0.25 MiB as an int32 array.
 def test_first_powers_of_F_2_16_are_sorted_without_a_second_set():
     g, peak = _peak_of_waring_number(FqField(2, find_irreducible(2, 16)), 1)
     assert g == 1 and peak < 6.5 * 2**20, peak
 
 
-# Bounds between this code and a regression (numpy 2.4, Python 3.11).  The
-# powers are one sorted rank array of d + 1 entries, built from exactly d
-# digit rows filled in place.  Squares of F_65537 peak at 2.91 MiB; a rank
-# set sorted in numpy peaked at 4.25 MiB, sorted in Python 5.00 MiB, kept
-# alive through the BFS 5.90 MiB.  Cubes of F_{2^16} (d = 21 845, so the last
-# doubling block is partial) peak at 3.04 MiB; rows grown by concatenation up
-# to 2^15 and then cut to d peaked at 8.04 MiB.  First powers of F_{3^12}: the
-# table is 2.0 MiB, building the set of all q ranks 40 MiB.
+# Bounds between earlier numpy builds and their regressions (numpy 2.4,
+# Python 3.11), kept as they were.  Squares of F_65537 peaked at 2.91 MiB with
+# the powers as one sorted int64 array; a rank set sorted in numpy peaked at
+# 4.25 MiB, sorted in Python 5.00 MiB, kept alive through the BFS 5.90 MiB.
+# Cubes of F_{2^16} (d = 21 845) peaked at 3.04 MiB from d digit rows filled
+# in place, and at 8.04 MiB from rows grown by concatenation.  First powers of
+# F_{3^12}: an int32 table is 2.0 MiB, building the set of all q ranks 40 MiB.
+# With the powers as one sorted list of ints, the bitset BFS and bytes tables,
+# squares of F_65537, cubes of F_{2^16} and first powers of F_{3^12} peak at
+# 1.51, 0.94 and 1.01 MiB (Python 3.11).
 @pytest.mark.parametrize("p,n,k,g,bound", [(65537, 1, 2, 2, 4.6), (3, 12, 1, 1, 4), (2, 16, 3, 2, 5.5)])
 def test_tables_peak_under_their_memory_bounds(p, n, k, g, bound):
     got, peak = _peak_of_waring_number(FqField(p, find_irreducible(p, n)), k)
@@ -687,7 +750,7 @@ def test_first_power_table_builds_no_power_set(monkeypatch):
     for p, n in [(2, 1), (13, 1), (2, 4), (3, 3), (7, 3)]:
         f = FqField(p, find_irreducible(p, n))
         levels, g = _sumset_levels(f, 1)
-        assert (g, levels.tolist(), levels.flags.writeable) == (1, [0] + [1] * (f.q - 1), False)
+        assert (g, list(levels), type(levels)) == (1, [0] + [1] * (f.q - 1), bytes)
         assert waring_number(f, f.q) == 1  # gcd(q, q-1) = 1
 
 
@@ -711,16 +774,18 @@ def test_rank_bfs_matches_tuple_bfs(p, n):
         if (f.q - 1) % k_red:
             continue
         powers = [(0,) * n] + walk[::k_red]  # 0 and the subgroup of order (q-1)/k_red
-        ranks = kth_power_set(f, k_red)  # the doubling's last block is partial unless d is 2^j
-        assert ranks[0] == 0 and len(ranks) == 1 + (f.q - 1) // k_red and np.all(np.diff(ranks) > 0)
-        assert set(ranks.tolist()) == {_elem(f, c).rank for c in powers}
+        ranks = kth_power_set(f, k_red)
+        assert ranks[0] == 0 and len(ranks) == 1 + (f.q - 1) // k_red and list(ranks) == sorted(set(ranks))
+        assert set(ranks) == {_elem(f, c).rank for c in powers}
         ref, ref_g = _reference_levels(f, powers)
-        want = np.full(f.q, -1)
-        for coeffs, level in ref.items():
-            want[_elem(f, coeffs).rank] = level
         levels, g = _sumset_levels(f, k_red)
         assert g == ref_g == waring_number(f, k_red), (p, n, k_red)
-        assert np.array_equal(levels, want), (p, n, k_red)
+        # bytes while every level fits below 255; ranks never reached hold the largest entry
+        assert type(levels) is bytes if g is None or g < 255 else levels.typecode == "H"
+        want = [255 if type(levels) is bytes else 65535] * f.q
+        for coeffs, level in ref.items():
+            want[_elem(f, coeffs).rank] = level
+        assert list(levels) == want, (p, n, k_red)
 
 
 def test_to_coset_vector_examples():
@@ -833,6 +898,23 @@ def test_minimal_lengths_equal_coset_norms(p, r):
         k2 = (f.q - 1) // (2 * r)
         for a in f.elements():
             assert per_element_length(f, k2, a) == _min_coset_norm(to_coset_vector(a), NormKind.LEE)
+
+
+# F_{3^16}, q = 43 046 721, at budget 10^9: one relayed child process per
+# theorem, so ru_maxrss (KiB on Linux) is the theorem's own peak.  Level arrays built in
+# numpy peaked at 821 MB (theorem 1) and 1 179 MB (theorem 2); the bitset BFS
+# peaks at about 210 MB for each.  The bounds sit midway.
+@pytest.mark.slow
+@pytest.mark.parametrize("thm,want,bound_mb", [(1, 16, 515), (2, 11, 695)])
+def test_verify_theorems_at_3_17(thm, want, bound_mb):
+    script = (
+        "import resource\nfrom leewaring import ffwaring\n"
+        f"rep = ffwaring.verify_theorem{thm}(3, 17, 10**9)\n"
+        "print(rep.computed_g, rep.formula_g, rep.match, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    g, formula, match, peak_kib = _without_numpy(script, relay=True).split()
+    assert int(g) == want == int(formula) and match == "True"
+    assert int(peak_kib) < bound_mb * 1024, int(peak_kib) // 1024
 
 
 # q = 37^4 = 1 874 161, just under the default budget: opt-in (pytest -m slow).
