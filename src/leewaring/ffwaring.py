@@ -347,15 +347,16 @@ def _power_ranks(f: FqField, b: tuple[int, ...], d: int) -> list[int]:
 
     In F_p the powers are int products mod p.  Otherwise multiplication by
     b maps the digits linearly (row j of M(b) is the image of x^j), so the
-    image of a rank is the digit-wise sum of the images of its h low and
-    n - h high digits.  While the two half-tables of those images, p^h and
-    p^(n-h) entries, are together smaller than d, each element is held as
-    its digits in lanes of w bits, and the next power is two lookups, one
-    carry-free add and one lane-wise subtract of p from the lanes at p or
-    above (the lane at p or above is the one whose top bit the add of
-    2^(w-1) - p sets).  Each table value carries the rank of its half under
-    the image, so the rank costs one mask.  Otherwise the powers are
-    products on the digit tuples.
+    image of an element is the digit-wise sum of the images of its h low
+    and n - h high digits.  Each element is held as its digits in lanes of
+    w bits, and the two halves are looked up in two tables whose values
+    hold the image's lanes above the half's rank.  The next power is then
+    two lookups and one carry-free add, and the rank one mask.  The sum
+    leaves digits up to 2p - 2 in the lanes, so the tables take keys with
+    such digits too, 2p - 1 values per lane, and reduce each image once
+    as they are built: a lane at p or above is the one whose top bit an
+    add of 2^(w-1) - p sets, and loses p.  While the two tables would not
+    be smaller than d, the powers are products on the digit tuples.
     """
     p, n = f.p, f.n
     out = []
@@ -367,7 +368,7 @@ def _power_ranks(f: FqField, b: tuple[int, ...], d: int) -> list[int]:
         return out
     place = f._place
     h = n // 2
-    if p**h + p ** (n - h) >= d:
+    if (2 * p - 1) ** h + (2 * p - 1) ** (n - h) >= d:
         x = (1,) + (0,) * (n - 1)
         for _ in range(d):
             out.append(sum(c * v for c, v in zip(x, place)))
@@ -378,18 +379,25 @@ def _power_ranks(f: FqField, b: tuple[int, ...], d: int) -> list[int]:
     top, rise = w - 1, ones * ((1 << (w - 1)) - p)
     shift = f.q.bit_length()  # the image's lanes sit above the rank
 
+    def reduced(x):
+        """x with p taken off each image lane at p or above."""
+        return x - (((x >> shift) + rise >> top & ones) * p << shift)
+
     def half(rows, values):
-        """{lanes of y: lanes of image(y) << shift | rank of y} over the digits y of one half."""
-        keys, vals = [0], [0]
+        """{lanes of y: lanes of image(y) << shift | rank of y}, y over the digit
+        vectors of one half with digits 0 .. 2p-2."""
+        table = {0: 0}
         for j, (row, v) in enumerate(zip(rows, values)):
             key, val = 1 << (j * w), (sum(c << (i * w) for i, c in enumerate(row)) << shift) + v
-            ks, vs = keys, vals
-            for _ in range(p - 1):
-                ks = [y + key for y in ks]
-                vs = [y + val for y in vs]
-                vs = [y - (((y >> shift) + rise >> top & ones) * p << shift) for y in vs]
-                keys, vals = keys + ks, vals + vs
-        return dict(zip(keys, vals))
+            layers = [table]
+            for _ in range(p - 1):  # digit j = 1 .. p-1
+                layers.append({y + key: reduced(x + val) for y, x in layers[-1].items()})
+            for c in range(p - 1):  # digit j = p + c has the image and rank of digit c
+                layers.append({y + p * key: x for y, x in layers[c].items()})
+            table = {}
+            for layer in layers:
+                table.update(layer)
+        return table
 
     rows = _times_matrix(f, b)
     low, high = half(rows[:h], place[:h]), half(rows[h:], place[h:])
@@ -399,7 +407,6 @@ def _power_ranks(f: FqField, b: tuple[int, ...], d: int) -> list[int]:
         v = low[z & low_lanes] + high[z >> split]
         out.append(v & rank_bits)
         z = v >> shift
-        z -= (z + rise >> top & ones) * p
     return out
 
 
@@ -410,8 +417,11 @@ def _power_ranks(f: FqField, b: tuple[int, ...], d: int) -> list[int]:
 # machine words, of which one step does about _WORDS_PER_STEP.
 _ROTATION_STEPS = 12
 _WORDS_PER_STEP = 8
-# Sixteen masks of q bits take 2q bytes, as much as the level table's build.
+# Sixteen masks of q bits take 2q bytes, about what the level table takes
+# when it is built (the table and its final copy).
 _MASKS_KEPT = 16
+# The planes are spread to the table this many ranks at a time, so that the
+# text and ints of a chunk stay a few MB whatever q is.
 _SPREAD_RANKS = 1 << 20
 
 
