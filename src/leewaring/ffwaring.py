@@ -40,6 +40,7 @@ g((q-1)/(2r), q) = h_bound(p, r), which verify_theorem1/2 check by BFS.
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import asdict, dataclass, field
 from itertools import chain, product
 from math import gcd
@@ -488,8 +489,6 @@ def _level_table(planes: list, sparse: list, q: int, depth: int, unreached: int)
     one '0' or '1' per entry width, has its '1' bytes translated to the
     plane's bit, and is read back as an int.
     """
-    from array import array
-
     code = "B" if depth < 255 else "H" if depth < 65535 else "I"
     width = array(code).itemsize
     if unreached:
