@@ -36,7 +36,7 @@ from leewaring import (
     verify_theorem2,
     waring_number,
 )
-from leewaring import ffwaring
+from leewaring import cli, ffwaring
 from leewaring.ffwaring import _MR_EXACT_BELOW, _is_prime, _mul, _pow, _sumset_levels
 from leewaring.modring import weights
 
@@ -543,8 +543,6 @@ assert kth_power_set(f, 40) == [0, 1, 2] and kth_power_set(f, 3) == range(81)
 assert [main(["waring", *argv]) for argv in {FIELD_COMMANDS!r}] == [0, 0, 0, 0]
 """
     got = _without_numpy(script)
-    from leewaring import cli
-
     for argv in FIELD_COMMANDS:
         assert cli.main(["waring", *argv]) == 0
     assert got == capsys.readouterr().out
