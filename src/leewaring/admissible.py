@@ -6,17 +6,20 @@ all-ones line.  The norm sequence of v lists ||v + x*e|| for all x; its
 strict local extrema (with plateaus, read cyclically) drive the balanced
 vector constructions.  shift_norms is the single-vector kernel that
 computes a norm sequence from a residue histogram and a weight table
-(modring.weights) in O(m) steps; the oracle, which scores many states at
-once, sums rows of a shift table instead.
+(modring.weights) in O(m) steps, chained by itertools at C speed; the
+oracle, which scores many states at once, sums rows of a shift table
+instead.  Admissibility, the canonical shift (which returns an admissible
+vector itself), balancedness and the m-sequence read it, or the
+coordinates, through operator maps with no Python step per residue.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial, reduce
-from itertools import accumulate, chain, islice, repeat
-from operator import add, mul, sub
+from itertools import accumulate, compress, cycle, islice, repeat
+from math import gcd
+from operator import add, le, mul, neg, sub
 from typing import Sequence
 
 from .modring import ModVec, NormKind, shift, weights
@@ -29,23 +32,43 @@ def shift_norms(hist, w):
     is the single-vector kernel of norm_sequence: hist is a list of ints (numpy
     rows, one entry per vector, step the same way).  Step x -> x+1 adds the
     slope sum_c hist[c] * step[(c + x) % m], step[j] = w[j+1] - w[j]
-    cyclically.  The slope changes only at the bends j, where step[j] !=
-    step[j-1]: by e_j = step[j] - step[j-1] for each of the hist[(j - x - 1) % m]
-    coordinates that reach j.  ONE and LEE have 2 or 3 bends, so a step costs
-    O(1) row operations, chained by itertools at C speed for an int list.
+    cyclically.  The slope changes only at the bends j, where turn[j] =
+    step[j] - step[j-1] is not 0: by turn[j] for each of the
+    hist[(j - x - 1) % m] coordinates that reach j.  compress picks the bends
+    out of turn, and a bend's reach at every shift is one slice of the
+    reversed histogram written twice.  The turns share a factor u (2 for LEE
+    at even m, m for ONE, 1 for LEE at odd m), so the reaches are added or
+    subtracted, scaled by |turn[j]| / u only where that is not 1, and their
+    sum is scaled by u once.  ONE and LEE, with 2 or 3 bends, cost O(1) row
+    operations a step, chained by itertools at C speed for an int list.
     """
     m = len(hist)
     step = list(map(sub, w[1:] + w[:1], w))
-    bends = [(j, e) for j, e in enumerate(map(sub, step, step[-1:] + step[:-1])) if e]
-    # at shift x the coordinates that reach bend j sit at residue j - x - 1
-    reach = [map(mul, repeat(e), chain(hist[j - 1::-1], hist[:j - 1:-1])) for j, e in bends]
-    turns = reduce(partial(map, add), reach) if reach else repeat(0)  # no bends: w is constant
+    turn = list(map(sub, step, step[-1:] + step[:-1]))
+    bends = list(compress(range(m), turn))
+    unit = gcd(*map(turn.__getitem__, bends)) or 1
+    back = [*hist[::-1]] * 2  # back[m + x - j] = hist[(j - x - 1) % m]: at shift x, the coordinates that reach j
+    turns = repeat(0)  # no bends: w is constant
+    for k, j in enumerate(bends):
+        e, reach = turn[j] // unit, back[m - j:2 * m - j]
+        if abs(e) != 1:
+            reach = map(mul, repeat(abs(e)), reach)
+        if k:
+            turns = map(add if e > 0 else sub, turns, reach)
+        else:
+            turns = reach if e > 0 else map(neg, reach)
+    if unit != 1:
+        turns = map(mul, repeat(unit), turns)
     slopes = accumulate(turns, initial=sum(map(mul, step, hist)))
     return islice(accumulate(slopes, initial=sum(map(mul, w, hist))), m)
 
 
 def norm_sequence(v: ModVec, kind: NormKind) -> list[int]:
-    """All norms ||v + x*e|| for x = 0, ..., m-1, in O(m + r) by shift_norms."""
+    """All norms ||v + x*e|| for x = 0, ..., m-1, in O(m + r) by shift_norms.
+
+    The histogram is counted coordinate by coordinate, a list index and an
+    add each, which is faster than collections.Counter.
+    """
     hist = [0] * v.modulus
     for c in v.coords:
         hist[c] += 1
@@ -61,11 +84,12 @@ def is_admissible(v: ModVec, kind: NormKind) -> bool:
 def canonical_shift(v: ModVec, kind: NormKind) -> tuple[int, ModVec]:
     """Smallest x minimising ||v + x*e||, with the shifted (admissible) vector.
 
-    Ties break towards the smallest shift so results are reproducible.
+    Ties break towards the smallest shift so results are reproducible.  An
+    admissible v (least shift 0) comes back itself: ModVec is immutable.
     """
     seq = norm_sequence(v, kind)
     x = seq.index(min(seq))
-    return x, shift(v, x)
+    return x, shift(v, x) if x else v
 
 
 class ExtremumKind(enum.Enum):
@@ -127,10 +151,8 @@ def is_balanced(v: ModVec) -> bool:
     if r % 2 != 1:
         raise ValueError(f"balancedness needs an odd dimension, got {r}")
     half = m // 2
-    chain = [c - (half if i % 2 == 0 else 0) for i, c in enumerate(v.coords, start=1)]
-    if chain[0] != 0 or chain[-1] >= half:
-        return False
-    return all(a <= b for a, b in zip(chain, chain[1:]))
+    offsets = list(map(sub, v.coords, cycle((0, half))))
+    return offsets[0] == 0 and offsets[-1] < half and all(map(le, offsets, offsets[1:]))
 
 
 def m_sequence(v: ModVec) -> list[int]:
@@ -143,12 +165,6 @@ def m_sequence(v: ModVec) -> list[int]:
     """
     if not is_balanced(v):
         raise ValueError("m_sequence needs a balanced vector")
-    m, r = v.modulus, len(v)
-    half = m // 2
     seq = norm_sequence(v, NormKind.LEE)
-    out = [seq[0]]
-    for i in range(1, r + 1):
-        c = v.coords[r - i]
-        x = half - c if i % 2 == 1 else m - c
-        out.append(seq[x % m])
-    return out
+    # shift m/2 - c or m - c, read as the index m/2 - c or -c: both lie in (-m, m)
+    return [seq[0], *map(seq.__getitem__, map(sub, cycle((v.modulus // 2, 0)), reversed(v.coords)))]

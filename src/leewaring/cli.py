@@ -25,7 +25,7 @@ import sys
 from itertools import chain, islice
 
 from . import bounds as bnd
-from .admissible import is_admissible, norm_sequence
+from .admissible import norm_sequence
 from .construct import construct_max_lee, construct_max_norm1
 from .errors import BudgetError, charge
 from .ffwaring import (
@@ -38,7 +38,7 @@ from .ffwaring import (
     verify_theorem2,
     waring_report,
 )
-from .modring import ModVec, NormKind, norm, shift
+from .modring import ModVec, NormKind, shift
 from .oracle import DEFAULT_BUDGET, brute_max_admissible
 
 EXIT_OK = 0
@@ -143,8 +143,9 @@ def cmd_construct(args) -> int:
     construct, closed_form = _EXTREMAL[kind]
     v = construct(m, r)
     target = closed_form(m, r)
-    value = norm(v, kind)
-    ok = value == target and is_admissible(v, kind)
+    seq = norm_sequence(v, kind)
+    value = seq[0]
+    ok = value == target and value == min(seq)
     row = {
         "m": m,
         "r": r,

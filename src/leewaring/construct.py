@@ -11,8 +11,8 @@ norm are cheap to re-check; the test suite and the CLI self-check do so.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import index
+from itertools import accumulate, cycle, repeat
+from operator import add, index, mul, sub
 
 from .admissible import m_sequence
 from .errors import dims, positive
@@ -88,11 +88,10 @@ class MDiffPlan:
             raise ValueError("plan must contain at least one step")
         if d[0] < 1:
             raise ValueError(f"first step must be >= 1, got {d[0]}")
-        if sum(abs(x) for x in d) != m // 2:
-            raise ValueError(f"step sizes must sum to m/2 = {m // 2}, got {sum(abs(x) for x in d)}")
+        if sum(map(abs, d)) != m // 2:
+            raise ValueError(f"step sizes must sum to m/2 = {m // 2}, got {sum(map(abs, d))}")
         sums = list(accumulate(d))
-        total = sums[-1]
-        if total < 0 or any(s < 0 or s > total for s in sums):
+        if min(sums) < 0 or max(sums) > sums[-1]:
             raise ValueError("running sums leave the band [0, total]")
 
 
@@ -101,9 +100,9 @@ def vector_from_m_diffs(plan: MDiffPlan, r: int) -> ModVec:
 
     Solving the step relations right to left: vr = m/2 - d0, then each
     earlier coordinate alternates around m/2 (v(r-i) = d_i + m/2 + v(r-i+1)
-    for odd i, v(r-i) = v(r-i+1) - m/2 - d_i for even i).  The result is
-    range-checked against the balanced chain, must end on v1 = 0, and must
-    reproduce the plan through m_sequence.
+    for odd i, v(r-i) = v(r-i+1) - m/2 - d_i for even i), one accumulate.
+    The result is range-checked against the balanced chain, must end on
+    v1 = 0, and must reproduce the plan through m_sequence.
     """
     plan.validate()
     m, d = plan.modulus, plan.diffs
@@ -112,23 +111,18 @@ def vector_from_m_diffs(plan: MDiffPlan, r: int) -> ModVec:
     if r % 2 != 1:
         raise ValueError(f"dimension must be odd, got {r}")
     half = m // 2
-    vals = [0] * (r + 1)  # 1-based positions, exact integers before reduction
-    vals[r] = half - d[0]
-    for i in range(1, r):
-        pos = r - i
-        if i % 2 == 1:
-            vals[pos] = d[i] + half + vals[pos + 1]
-        else:
-            vals[pos] = vals[pos + 1] - half - d[i]
-    for pos in range(1, r + 1):
+    # right to left: vr, then v(r-i) = v(r-i+1) + (d_i + m/2) for odd i, - (d_i + m/2) for even i
+    vals = [*accumulate(map(mul, cycle((1, -1)), map(add, d[1:], repeat(half))), initial=half - d[0])][::-1]
+    offsets = list(map(sub, vals, cycle((0, half))))  # the balanced chain, each in [0, m/2)
+    if min(offsets) < 0 or max(offsets) >= half:
+        pos = next(pos for pos, c in enumerate(offsets, 1) if not 0 <= c < half)
         lo, hi = (0, half) if pos % 2 == 1 else (half, m)
-        if not lo <= vals[pos] < hi:
-            raise ValueError(f"inconsistent plan: coordinate {pos} = {vals[pos]} outside [{lo}, {hi})")
-    if vals[1] != 0:
-        raise ValueError(f"inconsistent plan: first coordinate is {vals[1]}, not 0")
-    v = ModVec(m, vals[1:])
+        raise ValueError(f"inconsistent plan: coordinate {pos} = {vals[pos - 1]} outside [{lo}, {hi})")
+    if vals[0] != 0:
+        raise ValueError(f"inconsistent plan: first coordinate is {vals[0]}, not 0")
+    v = ModVec(m, vals)
     ms = m_sequence(v)
-    if tuple(b - a for a, b in zip(ms, ms[1:])) != d:
+    if tuple(map(sub, ms[1:], ms)) != d:
         raise ValueError("inconsistent plan: rebuilt vector does not reproduce the steps")
     return v
 
@@ -197,7 +191,7 @@ def _check_plan_dims(m: int, r: int) -> tuple[int, int]:
 
 
 def _alternate(mags: list[int]) -> tuple[int, ...]:
-    return tuple(mag if i % 2 == 0 else -mag for i, mag in enumerate(mags))
+    return tuple(map(mul, mags, cycle((1, -1))))
 
 
 def construct_odd_modulus(m: int, r: int) -> ModVec:

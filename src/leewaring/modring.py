@@ -2,7 +2,8 @@
 
 Coordinates are stored canonically in [0, m).  The two norms sum the
 coordinates' weights: least residues (ONE) or distances to 0 on the
-m-cycle (LEE), listed by weights(m, kind).  Everything is exact integer
+m-cycle (LEE), listed by weights(m, kind) as one range (ONE) or a rising
+and a falling range (LEE).  Everything is exact integer
 arithmetic on immutable values, so all operations are safe to call
 concurrently.
 """
@@ -70,10 +71,14 @@ def norm(v: ModVec, kind: NormKind) -> int:
 
 
 def weights(m: int, kind: NormKind) -> list[int]:
-    """The weight of each residue 0, ..., m-1: c (ONE) or min(c, m - c) (LEE)."""
+    """The weight of each residue 0, ..., m-1: c (ONE) or min(c, m - c) (LEE).
+
+    The LEE table climbs 0, 1, ..., m//2 and falls back from m - m//2 - 1 to 1,
+    two ranges copied at C speed.
+    """
     if require_kind(kind) is NormKind.ONE:
         return list(range(m))
-    return list(map(min, range(m), range(m, 0, -1)))
+    return [*range(m // 2 + 1), *range(m - m // 2 - 1, 0, -1)]
 
 
 def shift(v: ModVec, x: int) -> ModVec:

@@ -65,9 +65,9 @@ from itertools import chain, combinations_with_replacement, islice
 from math import comb
 from operator import index
 
-from .admissible import is_admissible
+from .admissible import norm_sequence
 from .errors import budgeted_power, charge, dims, positive
-from .modring import ModVec, NormKind, norm, require_kind, weights
+from .modring import ModVec, NormKind, require_kind, weights
 
 DEFAULT_BUDGET = 10**7
 # A tile, a prefix block and the suffix grid each hold about _CHUNK_ENTRIES entries.
@@ -203,6 +203,7 @@ def brute_max_admissible(
             if peak > best or cand < top:
                 best, top = peak, cand
     witness = ModVec(m, top)
-    if not is_admissible(witness, kind) or norm(witness, kind) != best:
+    seq = norm_sequence(witness, kind)  # admissible (no shift lowers it) and of norm best
+    if not seq[0] == min(seq) == best:
         raise AssertionError("oracle witness failed its self-check")
     return OracleResult(best, witness, cosets)

@@ -84,6 +84,7 @@ def test_canonical_shift_examples():
     assert canonical_shift(ModVec(4, (3, 3)), LEE) == (1, ModVec(4, (0, 0)))
     v = ModVec(4, (0, 1, 3))
     assert canonical_shift(v, LEE) == (0, v)  # already admissible
+    assert canonical_shift(v, LEE)[1] is v  # and returned as it is, not rebuilt
 
 
 def test_canonical_shift_returns_admissible():
@@ -136,6 +137,28 @@ def test_is_balanced_examples():
         is_balanced(ModVec(5, (0, 3, 1)))  # odd modulus
     with pytest.raises(ValueError):
         is_balanced(ModVec(4, (0, 2)))  # even dimension
+
+
+def test_is_balanced_matches_the_chain_rule():
+    """Independent slow path: the docstring's chain 0 = v1 <= v2 - m/2 <= v3 <= ... <= vr < m/2,
+    compared pair by pair, on balanced vectors, nudged ones and random ones."""
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(2000):
+        m = 2 * rng.randrange(1, 11)
+        r = 2 * rng.randrange(0, 5) + 1
+        v = random_balanced(rng, m, r)
+        if rng.randrange(2):  # move one coordinate by one, which often breaks the chain
+            i = rng.randrange(r)
+            v = ModVec(m, v.coords[:i] + (v.coords[i] + rng.choice((-1, 1)),) + v.coords[i + 1:])
+        if rng.randrange(4) == 0:
+            v = random_vec(rng, m, r)
+        half = m // 2
+        chain = [c - half if i % 2 == 0 else c for i, c in enumerate(v.coords, start=1)]
+        want = chain[0] == 0 and all(a <= b for a, b in zip(chain, chain[1:])) and chain[-1] < half
+        assert is_balanced(v) == want, v
+        seen.add(want)
+    assert seen == {False, True}
 
 
 def test_m_sequence_example():

@@ -282,6 +282,26 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+NUMPY_FREE_COMMANDS = [
+    ["bounds", "--m", "2..8", "--r", "1..12"],
+    ["construct", "--m", "6", "--r", "3", "--norm", "lee"],
+    ["check", "--m", "6", "--vec", "0,4,2", "--norm", "lee"],
+]
+
+
+def test_bounds_construct_and_check_run_without_numpy(capsys):
+    # a child in which importing numpy raises ImportError prints what this process prints
+    script = (
+        "import sys\nsys.modules['numpy'] = None\nfrom leewaring.cli import main\n"
+        f"assert [main(argv) for argv in {NUMPY_FREE_COMMANDS!r}] == [0, 0, 0]\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert [main(argv) for argv in NUMPY_FREE_COMMANDS] == [0, 0, 0]
+    assert proc.stdout == capsys.readouterr().out
+
+
 def test_waring_refuses_a_prime_above_the_exact_primality_bound(capsys):
     # 2^89 - 1 passes Miller-Rabin above the range where it is exact; it used to hang in trial division
     big = str(2**89 - 1)

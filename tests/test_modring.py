@@ -121,6 +121,9 @@ def test_weight_tables_sum_to_the_norms():
     rng = random.Random(15)
     assert weights(5, ONE) == [0, 1, 2, 3, 4] and weights(5, LEE) == [0, 1, 2, 2, 1]
     assert weights(1, ONE) == weights(1, LEE) == [0]
+    for m in range(1, 301):  # the tables built from ranges against their definitions
+        assert weights(m, ONE) == list(range(m))
+        assert weights(m, LEE) == [min(c, m - c) for c in range(m)]
     for _ in range(300):
         m = rng.randrange(1, 30)
         v = random_vec(rng, m, rng.randrange(0, 8))

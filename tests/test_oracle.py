@@ -283,8 +283,12 @@ def test_lee_12_12_runs_in_bounded_memory():
         "print(brute_max_admissible(12, 12, NormKind.LEE, budget=10**12).max_norm, "
         "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
     )
+    # a small relay interpreter starts the child, so that its ru_maxrss leaves this process
+    # out: Linux counts the resident set of the process that starts a program in its ru_maxrss
+    relay = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oracle.__file__)))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    argv = [sys.executable, "-c", relay, sys.executable, "-c", code]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     value, rss_kb = map(int, proc.stdout.split())
     assert value == 36
