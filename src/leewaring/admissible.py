@@ -9,8 +9,9 @@ computes a norm sequence from a residue histogram and a weight table
 (modring.weights) in O(m) steps, chained by itertools at C speed; the
 oracle, which scores many states at once, sums rows of a shift table
 instead.  Admissibility, the canonical shift (which returns an admissible
-vector itself), balancedness and the m-sequence read it, or the
-coordinates, through operator maps with no Python step per residue.
+vector itself), balancedness and the m-sequence read the norm sequence and
+the coordinates with builtins and operator maps, not a Python step per
+entry.
 """
 
 from __future__ import annotations

@@ -111,7 +111,6 @@ def vector_from_m_diffs(plan: MDiffPlan, r: int) -> ModVec:
     if r % 2 != 1:
         raise ValueError(f"dimension must be odd, got {r}")
     half = m // 2
-    # right to left: vr, then v(r-i) = v(r-i+1) + (d_i + m/2) for odd i, - (d_i + m/2) for even i
     vals = [*accumulate(map(mul, cycle((1, -1)), map(add, d[1:], repeat(half))), initial=half - d[0])][::-1]
     offsets = list(map(sub, vals, cycle((0, half))))  # the balanced chain, each in [0, m/2)
     if min(offsets) < 0 or max(offsets) >= half:

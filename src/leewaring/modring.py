@@ -3,9 +3,8 @@
 Coordinates are stored canonically in [0, m).  The two norms sum the
 coordinates' weights: least residues (ONE) or distances to 0 on the
 m-cycle (LEE), listed by weights(m, kind) as one range (ONE) or a rising
-and a falling range (LEE).  Everything is exact integer
-arithmetic on immutable values, so all operations are safe to call
-concurrently.
+and a falling range (LEE).  Everything is exact integer arithmetic on
+immutable values, so all operations are safe to call concurrently.
 """
 
 from __future__ import annotations
