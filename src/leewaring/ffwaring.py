@@ -20,13 +20,14 @@ lookups and a lane-wise sum otherwise.  The ranks come back as one sorted
 list, 0 first.  The sumset BFS switches by level between a sparse step on
 rank lists and a dense step on bitsets, Python ints with one bit per rank,
 in which adding a power rotates axes of the (p,)*n digit cube by shifts
-and masks.  Its levels end as one table indexed by rank: bytes, or an
-array of wider entries past level 254.  Each FqField holds the tables it
-has computed, keyed by the exponent as given and by the reduced one, so a
-table lives exactly as long as its field and a repeated read costs one
-dict lookup.  When gcd(k, q-1) = 1 every element is a k-th power, so the
-table is 0 at rank 0 and 1 elsewhere, g = 1, with no power set and no
-BFS.  The field side imports no numpy.
+and masks.  Its levels go into one table indexed by rank, the sparse
+ones as they are found and the dense ones' bit planes at the end: bytes,
+or an array of wider entries past level 254.  Each FqField holds
+the tables it has computed, keyed by the exponent as given and by the
+reduced one, so a table lives exactly as long as its field and a repeated
+read costs one dict lookup.  When gcd(k, q-1) = 1 every element is a k-th
+power, so the table is 0 at rank 0 and 1 elsewhere, g = 1, with no power
+set and no BFS.  The field side imports no numpy.
 
 Elements are built at the edge only: the powers, the BFS and the table
 reads run on ranks, so no FqElem is built on the way to a Waring number.
@@ -411,15 +412,15 @@ def _power_ranks(f: FqField, b: tuple[int, ...], d: int) -> list[int]:
     return out
 
 
-# The switch between the two BFS steps compares their costs in Python steps.
-# The sparse step costs about one step per (frontier, power) pair and digit;
-# the dense step costs n rotations per translate, each about
-# _ROTATION_STEPS steps of Python overhead plus its big-int work on q/64
-# machine words, of which one step does about _WORDS_PER_STEP.
+# The switch between the two BFS steps compares their costs in machine words,
+# of which one Python step does about _WORDS_PER_STEP.  The sparse step costs
+# about one step per (frontier, power) pair and digit; the dense step costs
+# n rotations per translate, each about _ROTATION_STEPS steps of Python
+# overhead plus its big-int work on q/64 words.
 _ROTATION_STEPS = 12
 _WORDS_PER_STEP = 8
-# Sixteen masks of q bits take 2q bytes, about what the level table takes
-# when it is built (the table and its final copy).
+# Sixteen masks of q bits take 2q bytes, beside the level table of q bytes
+# that lives through the BFS; the others are built again at each use.
 _MASKS_KEPT = 16
 # The planes are spread to the table this many ranks at a time, so that the
 # text and ints of a chunk stay a few MB whatever q is.
@@ -455,8 +456,10 @@ def _low_mask(p: int, q: int, v: int, c: int) -> int:
     return mask
 
 
-def _sparse_step(frontier: list, powers: list, bitmap: bytearray, place: list, p: int) -> list:
-    """The ranks of frontier + powers missing from the bitmap, added to it.
+def _sparse_step(
+    frontier: list, powers: list, bitmap: bytearray, table: array, depth: int, place: list, p: int
+) -> list:
+    """The ranks of frontier + powers missing from the bitmap, added to it and to the table at depth.
 
     Each entry a of the shorter list translates the longer one: digit i of
     u + a wraps exactly when digit i of u is at least p - a_i, and then the
@@ -474,26 +477,24 @@ def _sparse_step(frontier: list, powers: list, bitmap: bytearray, place: list, p
             byte, bit = t >> 3, 1 << (t & 7)
             if not bitmap[byte] & bit:
                 bitmap[byte] |= bit
+                table[t] = depth
                 fresh.append(t)
     return fresh
 
 
-def _level_table(planes: list, sparse: list, q: int, depth: int, unreached: int):
-    """The level of every rank, from the bit planes of the dense levels and
-    the (level, ranks) of the sparse ones, with the ranks never reached at
-    the largest entry value; the planes are emptied on the way.
+def _level_table(table: array, planes: list, unreached: int):
+    """The table of the sparse levels with the bit planes of the dense ones,
+    and the ranks never reached at the largest entry value, ORed into it in
+    place; the planes are emptied on the way.  1-byte entries come back as bytes.
 
-    The entries are bytes while depth fits a byte, else 2- or 4-byte array
-    entries.  The planes' bits are spread to the entries at C speed, one
-    chunk of _SPREAD_RANKS ranks at a time: a plane's binary text, encoded
-    one '0' or '1' per entry width, has its '1' bytes translated to the
-    plane's bit, and is read back as an int.
+    The planes' bits are spread to the entries at C speed, one chunk of
+    _SPREAD_RANKS ranks at a time: a plane's binary text, encoded one '0' or
+    '1' per entry width, has its '1' bytes translated to the plane's bit, and
+    is read back as an int that ORs into the chunk's little-endian entries.
     """
-    code = "B" if depth < 255 else "H" if depth < 65535 else "I"
-    width = array(code).itemsize
+    q, width = len(table), table.itemsize
     if unreached:
-        planes += [0] * (8 * width - len(planes))
-        planes[:] = [plane | unreached for plane in planes]
+        planes[:] = [plane | unreached for plane in planes + [0] * (8 * width - len(planes))]
     codec = {1: "ascii", 2: "utf-16-be", 4: "utf-32-be"}[width]
     spreads = [
         (plane.to_bytes((q + 7) >> 3, "little"), bytes.maketrans(b"01", bytes((0, 1 << b % 8))), b & ~7)
@@ -501,23 +502,18 @@ def _level_table(planes: list, sparse: list, q: int, depth: int, unreached: int)
         if plane
     ]
     planes.clear()
-    out = bytearray(q * width)
+    if sys.byteorder == "big":
+        table.byteswap()
     for lo in range(0, q if spreads else 0, _SPREAD_RANKS):
         hi = min(lo + _SPREAD_RANKS, q)
-        chunk = 0
+        chunk = int.from_bytes(table[lo:hi], "little")
         for plane, bit, shift in spreads:
             text = format(int.from_bytes(plane[lo >> 3 : (hi + 7) >> 3], "little"), f"0{hi - lo}b")
             chunk |= int.from_bytes(text.encode(codec).translate(bit), "big") << shift
-        out[lo * width : hi * width] = chunk.to_bytes((hi - lo) * width, "little")
-    del spreads
-    table = array(code, out)
-    del out
+        table[lo:hi] = array(table.typecode, chunk.to_bytes((hi - lo) * width, "little"))
     if sys.byteorder == "big":
         table.byteswap()
-    for level, ranks in sparse:
-        for t in ranks:
-            table[t] = level
-    return table.tobytes() if code == "B" else table
+    return table.tobytes() if width == 1 else table
 
 
 def _sumset_levels(f: FqField, k_red: int):
@@ -532,32 +528,33 @@ def _sumset_levels(f: FqField, k_red: int):
     q = f.q
     if k_red == 1:  # every element is a first power: no set, no BFS
         return b"\0" + b"\1" * (q - 1), 1
-    planes, sparse, depth, unreached = _bfs(f, kth_power_set(f, k_red)[1:])
-    return _level_table(planes, sparse, q, depth, unreached), (None if unreached else depth)
+    table, planes, depth, unreached = _bfs(f, kth_power_set(f, k_red)[1:])
+    return _level_table(table, planes, unreached), (None if unreached else depth)
 
 
 def _bfs(f: FqField, powers: list) -> tuple:
-    """The BFS from 0 by the powers: (bit planes of the dense levels, the
-    (level, ranks) of the sparse ones, the last level, the unreached ranks).
+    """The BFS from 0 by the powers: (the table of the sparse levels, the bit
+    planes of the dense ones, the last level, the unreached ranks).
 
     Each level takes the cheaper of two steps (a direction-optimizing BFS,
     after Beamer, Asanovic and Patterson, SC 2012).  The sparse step sums
     the frontier and the powers pair by pair as rank lists, against a
-    bitmap of the ranks seen.  The dense step holds sets as bitsets, ints
-    with bit t set for rank t, and translates the shorter of frontier and
-    powers by each entry of the other: adding c to digit i rotates that
-    axis of the (p,)*n digit cube, one mask, two shifts and an or.  It
-    stops once no rank is left to reach.  Plane b holds the ranks whose
-    dense level has bit b set.  The first _MASKS_KEPT masks are kept for
-    the whole BFS, the others built again at each use.
+    bitmap of the ranks seen, into the table, widened at levels 255 and
+    65 535.  The dense step holds sets as bitsets, ints with bit t set for
+    rank t, and translates the shorter of frontier and powers by each entry
+    of the other: adding c to digit i rotates that axis of the (p,)*n digit
+    cube, one mask, two shifts and an or.  It stops once no rank is left to
+    reach.  Plane b holds the ranks whose dense level has bit b set.  The
+    first _MASKS_KEPT masks are kept for the whole BFS, the others built
+    again at each use.
     """
-    p, q = f.p, f.q
-    place = f._place
+    p, q, place = f.p, f.q, f._place
     full, size, seen, depth = (1 << q) - 1, 1, 1, 0
     frontier, front_bits, power_bits = [0], None, None
     bitmap, unseen = bytearray((q + 7) >> 3), None  # the ranks seen, or those not seen
     bitmap[0] = 1
-    sparse, planes, masks = [], [], {}
+    table, planes, masks = array("B", bytes(q)), [], {}
+    rotation = _ROTATION_STEPS * _WORDS_PER_STEP + (q >> 6)  # words
 
     def translate(bits: int, a: int) -> int:
         for i, v in enumerate(place):
@@ -573,15 +570,15 @@ def _bfs(f: FqField, powers: list) -> tuple:
 
     while size and seen < q:
         depth += 1
-        # pairs x n steps, against translates x n rotations of _ROTATION_STEPS
-        # steps and q/64 words each
-        if size * len(powers) <= min(size, len(powers)) * (_ROTATION_STEPS + (q >> 6) / _WORDS_PER_STEP):
+        if depth in (255, 65535):  # the levels outgrow 1-byte entries, then 2-byte ones
+            table = array("H" if depth == 255 else "I", table)
+        # pairs x n steps, against translates x n rotations
+        if size * len(powers) * _WORDS_PER_STEP <= min(size, len(powers)) * rotation:
             if frontier is None:
                 frontier = list(_ranks(front_bits))
             if bitmap is None:
                 bitmap, unseen = bytearray((full ^ unseen).to_bytes((q + 7) >> 3, "little")), None
-            frontier, front_bits = _sparse_step(frontier, powers, bitmap, place, p), None
-            sparse.append((depth, frontier))
+            frontier, front_bits = _sparse_step(frontier, powers, bitmap, table, depth, place, p), None
             size = len(frontier)
         else:
             if unseen is None:
@@ -605,8 +602,8 @@ def _bfs(f: FqField, powers: list) -> tuple:
                     planes[b] |= front_bits
         seen += size
     if seen == q:
-        return planes, sparse, depth, 0
-    return planes, sparse, depth, unseen if bitmap is None else full ^ int.from_bytes(bitmap, "little")
+        return table, planes, depth, 0
+    return table, planes, depth, unseen if bitmap is None else full ^ int.from_bytes(bitmap, "little")
 
 
 def _field_levels(f: FqField, k: int, budget: int):

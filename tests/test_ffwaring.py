@@ -362,7 +362,9 @@ def test_the_field_gate_tests_each_prime_once(monkeypatch):
 PRIMES_TO_43 = [n for n in range(44) if _is_prime(n)]
 
 
-@pytest.mark.parametrize("p", PRIMES_TO_43)
+# 257 and 65537 take the ONE levels to 256 and 65 536, so their tables are
+# the first 2-byte and the first 4-byte ones (LEE: 128 and 32 768).
+@pytest.mark.parametrize("p", PRIMES_TO_43 + [257, 65537])
 def test_prime_field_levels_are_the_norm_weights(p):
     """Both sides of the reduction at n = 1, where rank is residue: the Waring
     levels of k = (p-1)/t in F_p are the ONE (t = 1) and LEE (t = 2) weights."""
@@ -742,6 +744,14 @@ def test_tables_peak_under_their_memory_bounds(p, n, k, g, bound):
     assert got == g and peak < bound * 2**20, peak
 
 
+# d = 2: 32 760 sparse levels of two ranks each, into a 2-byte table of
+# 128 KiB.  Kept as (level, ranks) lists until the end, they peaked at
+# 7.98 MiB; entered in the table as they are found, 0.21 MiB (Python 3.11).
+def test_a_thin_run_peaks_near_its_table():
+    g, peak = _peak_of_waring_number(FqField(65521, (0, 1)), 32760)
+    assert g == 32760 and peak < 2**20, peak
+
+
 # The tuple-BFS grid test checks the k = 1 table on every reference field
 def test_first_power_table_builds_no_power_set(monkeypatch):
     monkeypatch.setattr(ffwaring, "kth_power_set", None)
@@ -784,6 +794,50 @@ def test_rank_bfs_matches_tuple_bfs(p, n):
         for coeffs, level in ref.items():
             want[_elem(f, coeffs).rank] = level
         assert list(levels) == want, (p, n, k_red)
+
+
+def _multiplicative_order(p, d):
+    s, x = 1, p % d
+    while x != 1 % d:
+        s, x = s + 1, x * p % d
+    return s
+
+
+# The tuple-BFS grid in tier-1, the prime fields between 500 and 2000 (about
+# 1.7 s more) under slow: every field with q <= 2000.
+@pytest.mark.parametrize(
+    "p,n",
+    BFS_GRID + [pytest.param(p, 1, marks=pytest.mark.slow) for p in range(501, 2000) if _is_prime(p)],
+)
+def test_level_tables_keep_the_invariants_of_the_field(p, n):
+    """What every level table must satisfy, with no reference BFS: for each
+    d | q-1, with k = (q-1)/d, so that the powers are 0 and mu_d,
+
+    - level 0 is rank 0 alone, and the levels 0..g are all there and sum to q;
+    - every other level, and the ranks never reached, come in whole cosets of
+      mu_d, so their sizes are multiples of d;
+    - levels are invariant under Frobenius, a -> a^p;
+    - the powers span the subfield F_{p^s}, s the order of p mod d, so g is
+      None exactly when d | p^s - 1 for a proper divisor s of n;
+    - on prime fields, g(k, p) <= gcd(k, p-1).
+    """
+    f = FqField(p, find_irreducible(p, n))
+    q = f.q
+    frobenius = [_elem(f, _pow(f, a.coeffs, p)).rank for a in f.elements()]
+    for d in (d for d in range(1, q) if (q - 1) % d == 0):
+        k = (q - 1) // d
+        levels, g = _sumset_levels(f, k)
+        sizes = collections.Counter(levels)
+        unreached = 0 if g is not None else sizes.pop(max(sizes))
+        assert levels[0] == 0 and sizes[0] == 1, d
+        assert sorted(sizes) == list(range(max(sizes) + 1)) and sum(sizes.values()) + unreached == q, d
+        assert g is None or max(sizes) == g, d
+        assert all(size % d == 0 for level, size in sizes.items() if level) and unreached % d == 0, d
+        assert all(levels[frobenius[t]] == levels[t] for t in range(q)), d
+        assert q - unreached == p ** _multiplicative_order(p, d), d
+        assert (g is None) == any((p**s - 1) % d == 0 for s in range(1, n) if n % s == 0), d
+        if n == 1:
+            assert g <= gcd(k, p - 1), d
 
 
 def test_to_coset_vector_examples():
@@ -922,6 +976,22 @@ def test_verify_theorems_at_37_5(thm, want):
     rep = (verify_theorem1 if thm == 1 else verify_theorem2)(37, 5)
     assert rep.q == 37**4
     assert rep.computed_g == want == rep.formula_g and rep.match
+
+
+# The thinnest run in the default budget: d = 2 in F_1999993, one level per
+# pair of ranks, 999 996 levels into a 4-byte table of 8 MB.  With the sparse
+# levels kept as (level, ranks) lists to the end, it peaked at 284 MB; entered
+# in the table as they are found, at 32 MB.
+@pytest.mark.slow
+def test_the_thinnest_default_run_peaks_near_its_table():
+    script = (
+        "import resource\nfrom leewaring import ffwaring\n"
+        "g = ffwaring.waring_number(ffwaring.FqField(1999993, (0, 1)), 999996)\n"
+        "print(g, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    g, peak_kib = _without_numpy(script, relay=True).split()
+    assert int(g) == 999996
+    assert int(peak_kib) < 64 * 1024, int(peak_kib) // 1024
 
 
 @pytest.mark.slow
