@@ -20,14 +20,14 @@ lookups and a lane-wise sum otherwise.  The ranks come back as one sorted
 list, 0 first.  The sumset BFS switches by level between a sparse step on
 rank lists and a dense step on bitsets, Python ints with one bit per rank,
 in which adding a power rotates axes of the (p,)*n digit cube by shifts
-and masks.  Its levels go into one table indexed by rank, the sparse
-ones as they are found and the dense ones' bit planes at the end: bytes,
-or an array of wider entries past level 254.  Each FqField holds
-the tables it has computed, keyed by the exponent as given and by the
-reduced one, so a table lives exactly as long as its field and a repeated
-read costs one dict lookup.  When gcd(k, q-1) = 1 every element is a k-th
-power, so the table is 0 at rank 0 and 1 elsewhere, g = 1, with no power
-set and no BFS.  The field side imports no numpy.
+and masks.  Its levels go into one table indexed by rank, the sparse ones
+as they are found and the dense ones' bit planes at the end: bytes, or an
+array of wider entries past level 254.  Each FqField holds the tables it
+has computed, keyed by the exponent as given and by the reduced one, so a
+table lives exactly as long as its field and a repeated read costs one
+dict lookup.  When gcd(k, q-1) = 1 every element is a k-th power, so the
+table is 0 at rank 0 and 1 elsewhere, g = 1, with no power set and no
+BFS.  The field side imports no numpy.
 
 Elements are built at the edge only: the powers, the BFS and the table
 reads run on ranks, so no FqElem is built on the way to a Waring number.

@@ -955,7 +955,8 @@ def test_minimal_lengths_equal_coset_norms(p, r):
 # F_{3^16}, q = 43 046 721, at budget 10^9: one relayed child process per
 # theorem, so ru_maxrss (KiB on Linux) is the theorem's own peak.  Level arrays built in
 # numpy peaked at 821 MB (theorem 1) and 1 179 MB (theorem 2); the bitset BFS
-# peaks at about 210 MB for each.  The bounds sit midway.
+# at about 210 MB for each, and at 242 and 229 MB with its byte table held
+# through the BFS.  The bounds sit midway between numpy and 210 MB.
 @pytest.mark.slow
 @pytest.mark.parametrize("thm,want,bound_mb", [(1, 16, 515), (2, 11, 695)])
 def test_verify_theorems_at_3_17(thm, want, bound_mb):
@@ -978,12 +979,12 @@ def test_verify_theorems_at_37_5(thm, want):
     assert rep.computed_g == want == rep.formula_g and rep.match
 
 
-# The thinnest run in the default budget: d = 2 in F_1999993, one level per
-# pair of ranks, 999 996 levels into a 4-byte table of 8 MB.  With the sparse
+# A long thin run within the default budget: d = 2 in F_1999993, one level
+# per pair of ranks, 999 996 levels into a 4-byte table of 8 MB.  With the sparse
 # levels kept as (level, ranks) lists to the end, it peaked at 284 MB; entered
 # in the table as they are found, at 32 MB.
 @pytest.mark.slow
-def test_the_thinnest_default_run_peaks_near_its_table():
+def test_a_long_thin_run_peaks_near_its_table():
     script = (
         "import resource\nfrom leewaring import ffwaring\n"
         "g = ffwaring.waring_number(ffwaring.FqField(1999993, (0, 1)), 999996)\n"
