@@ -225,10 +225,17 @@ def _pow(f: FqField, a: tuple[int, ...], e: int) -> tuple[int, ...]:
 @dataclass(frozen=True, slots=True)
 class FqElem:
     """An element of FqField, held as its rank: the base-p number whose digits
-    are its n coefficients in the power basis (constant first), read by coeffs."""
+    are its n coefficients in the power basis (constant first), read by coeffs.
+    The rank is read through operator.index and must lie in [0, q)."""
 
     field: FqField
     rank: int
+
+    def __post_init__(self) -> None:
+        rank = index(self.rank)
+        if not 0 <= rank < self.field.q:
+            raise ValueError(f"rank must lie in [0, {self.field.q}), got {rank}")
+        object.__setattr__(self, "rank", rank)
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -412,15 +419,17 @@ def _power_ranks(f: FqField, b: tuple[int, ...], d: int) -> list[int]:
     return out
 
 
-# The switch between the two BFS steps compares their costs in machine words,
-# of which one Python step does about _WORDS_PER_STEP.  The sparse step costs
-# about one step per (frontier, power) pair and digit; the dense step costs
-# n rotations per translate, each about _ROTATION_STEPS steps of Python
-# overhead plus its big-int work on q/64 words.
+# The switch between the two BFS steps compares their costs in Python steps.
+# The sparse step costs about one step per (frontier, power) pair and digit.
+# The dense step costs n rotations per translate, each about _ROTATION_STEPS
+# steps of overhead plus its big-int work on q/64 words, eight words a step,
+# and it makes about min(frontier, powers) translates: one per power, or one
+# bitset of the powers at level 1.  Over min(frontier, powers) n, a level is
+# sparse while max(frontier, powers) is at most _ROTATION_STEPS + q/512.
 _ROTATION_STEPS = 12
-_WORDS_PER_STEP = 8
 # Sixteen masks of q bits take 2q bytes, beside the level table of q bytes
-# that lives through the BFS; the others are built again at each use.
+# and the bitmap of the ranks not yet seen, q/8 bytes, that live through the
+# BFS; the others are built again at each use.
 _MASKS_KEPT = 16
 # The planes are spread to the table this many ranks at a time, so that the
 # text and ints of a chunk stay a few MB whatever q is.
@@ -459,7 +468,8 @@ def _low_mask(p: int, q: int, v: int, c: int) -> int:
 def _sparse_step(
     frontier: list, powers: list, bitmap: bytearray, table: array, depth: int, place: list, p: int
 ) -> list:
-    """The ranks of frontier + powers missing from the bitmap, added to it and to the table at depth.
+    """The ranks of frontier + powers still in the bitmap of the ranks not yet
+    seen, taken out of it and entered in the table at depth.
 
     Each entry a of the shorter list translates the longer one: digit i of
     u + a wraps exactly when digit i of u is at least p - a_i, and then the
@@ -475,8 +485,8 @@ def _sparse_step(
                 if u // v % p >= low:
                     t -= wrap
             byte, bit = t >> 3, 1 << (t & 7)
-            if not bitmap[byte] & bit:
-                bitmap[byte] |= bit
+            if bitmap[byte] & bit:
+                bitmap[byte] ^= bit
                 table[t] = depth
                 fresh.append(t)
     return fresh
@@ -528,6 +538,8 @@ def _sumset_levels(f: FqField, k_red: int):
     q = f.q
     if k_red == 1:  # every element is a first power: no set, no BFS
         return b"\0" + b"\1" * (q - 1), 1
+    # the public kth_power_set, looked up at the call, so that a traced run can
+    # time the powers apart from the BFS (ffwaring.bfs.s is the rest)
     table, planes, depth, unreached = _bfs(f, kth_power_set(f, k_red)[1:])
     return _level_table(table, planes, unreached), (None if unreached else depth)
 
@@ -537,24 +549,23 @@ def _bfs(f: FqField, powers: list) -> tuple:
     planes of the dense ones, the last level, the unreached ranks).
 
     Each level takes the cheaper of two steps (a direction-optimizing BFS,
-    after Beamer, Asanovic and Patterson, SC 2012).  The sparse step sums
-    the frontier and the powers pair by pair as rank lists, against a
-    bitmap of the ranks seen, into the table, widened at levels 255 and
-    65 535.  The dense step holds sets as bitsets, ints with bit t set for
-    rank t, and translates the shorter of frontier and powers by each entry
-    of the other: adding c to digit i rotates that axis of the (p,)*n digit
-    cube, one mask, two shifts and an or.  It stops once no rank is left to
-    reach.  Plane b holds the ranks whose dense level has bit b set.  The
-    first _MASKS_KEPT masks are kept for the whole BFS, the others built
-    again at each use.
+    after Beamer, Asanovic and Patterson, SC 2012), both against one bitmap
+    of the ranks not yet seen.  The sparse step sums the frontier and the
+    powers pair by pair as rank lists, into the table, widened at levels 255
+    and 65 535.  The dense step reads the bitmap as a bitset, an int with bit
+    t set for rank t, translates the frontier by each power (adding c to
+    digit i rotates that axis of the (p,)*n digit cube, one mask, two shifts
+    and an or) and writes the bitmap back.  Level 1, from {0}, is the powers'
+    own bitset, and every later level is a union of cosets of the powers.
+    It stops once no rank is left to reach.  Plane b holds the ranks whose
+    dense level has bit b set.
     """
     p, q, place = f.p, f.q, f._place
-    full, size, seen, depth = (1 << q) - 1, 1, 1, 0
-    frontier, front_bits, power_bits = [0], None, None
-    bitmap, unseen = bytearray((q + 7) >> 3), None  # the ranks seen, or those not seen
-    bitmap[0] = 1
+    size, seen, depth = 1, 1, 0
+    frontier = [0]  # the last level: a rank list after a sparse step, a bitset after a dense one
+    bitmap = bytearray(((1 << q) - 2).to_bytes((q + 7) >> 3, "little"))  # the ranks not yet seen
     table, planes, masks = array("B", bytes(q)), [], {}
-    rotation = _ROTATION_STEPS * _WORDS_PER_STEP + (q >> 6)  # words
+    sparse_max = _ROTATION_STEPS + (q >> 9)  # frontier or powers, whichever is longer
 
     def translate(bits: int, a: int) -> int:
         for i, v in enumerate(place):
@@ -572,38 +583,30 @@ def _bfs(f: FqField, powers: list) -> tuple:
         depth += 1
         if depth in (255, 65535):  # the levels outgrow 1-byte entries, then 2-byte ones
             table = array("H" if depth == 255 else "I", table)
-        # pairs x n steps, against translates x n rotations
-        if size * len(powers) * _WORDS_PER_STEP <= min(size, len(powers)) * rotation:
-            if frontier is None:
-                frontier = list(_ranks(front_bits))
-            if bitmap is None:
-                bitmap, unseen = bytearray((full ^ unseen).to_bytes((q + 7) >> 3, "little")), None
-            frontier, front_bits = _sparse_step(frontier, powers, bitmap, table, depth, place, p), None
+        if max(size, len(powers)) <= sparse_max:
+            if type(frontier) is int:
+                frontier = list(_ranks(frontier))
+            frontier = _sparse_step(frontier, powers, bitmap, table, depth, place, p)
             size = len(frontier)
         else:
-            if unseen is None:
-                unseen, bitmap = full ^ int.from_bytes(bitmap, "little"), None
-            if size < len(powers):
-                if power_bits is None:
-                    power_bits = _bits(powers, q)
-                shifts, base = frontier if frontier is not None else _ranks(front_bits), power_bits
+            rest = unseen = int.from_bytes(bitmap, "little")
+            if depth == 1:  # the frontier {0} translates to the powers themselves
+                rest ^= _bits(powers, q)
             else:
-                shifts, base = powers, front_bits if front_bits is not None else _bits(frontier, q)
-            rest = unseen
-            for a in shifts:
-                rest ^= rest & translate(base, a)
-                if not rest:
-                    break
-            front_bits, frontier, unseen = unseen ^ rest, None, rest
-            size = front_bits.bit_count()
+                base = frontier if type(frontier) is int else _bits(frontier, q)
+                for a in powers:
+                    rest ^= rest & translate(base, a)
+                    if not rest:
+                        break
+            frontier = unseen ^ rest
+            bitmap[:] = rest.to_bytes(len(bitmap), "little")
+            size = frontier.bit_count()
             planes += [0] * (depth.bit_length() - len(planes))
             for b in range(depth.bit_length()):
                 if depth >> b & 1:
-                    planes[b] |= front_bits
+                    planes[b] |= frontier
         seen += size
-    if seen == q:
-        return table, planes, depth, 0
-    return table, planes, depth, unseen if bitmap is None else full ^ int.from_bytes(bitmap, "little")
+    return table, planes, depth, int.from_bytes(bitmap, "little")
 
 
 def _field_levels(f: FqField, k: int, budget: int):

@@ -68,6 +68,7 @@ ENTRY_POINTS = [
     pytest.param(FqField, (3, (1, 1, 1, 1, 1)), id="FqField"),
     pytest.param(lambda c: FqField(3, (c, 1, 1, 1, 1)), (1,), id="FqField-modulus"),
     pytest.param(cyclotomic_field, (3, 5), id="cyclotomic_field"),
+    pytest.param(lambda t: FqElem(F, t), (3,), id="FqElem"),
     pytest.param(kth_power_set, (F, 16), id="kth_power_set"),
     pytest.param(waring_number, (F, 16, 10**6), id="waring_number"),
     pytest.param(
@@ -112,6 +113,16 @@ def test_every_integer_argument_refuses_a_float_and_accepts_numpy_ints(call, arg
             call(*args[:i], 5.0, *args[i + 1:])
         got = call(*args[:i], np.int64(value), *args[i + 1:])
         assert got == want and _only_python_ints(got), (i, got)
+
+
+# A rank outside [0, q) once made an element anyway: 83 in q = 81 read the
+# digits (2, 0, 0, 0), which per_element_length could not look up, and -1 read
+# the digits of 80 yet compared unequal to FqElem(F, 80).
+@pytest.mark.parametrize("rank", [-1, 81, 83])
+def test_an_element_refuses_a_rank_outside_its_field(rank):
+    with pytest.raises(ValueError, match=rf"^rank must lie in \[0, 81\), got {rank}$"):
+        FqElem(F, rank)
+    assert FqElem(F, 0).rank == 0 and FqElem(F, 80).rank == 80
 
 
 def test_the_helpers_return_python_ints_and_keep_their_messages():

@@ -840,6 +840,40 @@ def test_level_tables_keep_the_invariants_of_the_field(p, n):
             assert g <= gcd(k, p - 1), d
 
 
+def test_each_level_takes_the_step_of_the_cost_rule(monkeypatch):
+    """For each d | q-1 with k >= 2 on every BFS_GRID field, the levels that run
+    the sparse step are those that the cost rule picks: level j is sparse iff
+    s d 8 <= min(s, d) (96 + q/64), with s the size of level j-1 read off the
+    table (s = 1 at j = 1).  When g is None the empty last level L+1 runs too.
+    The grid holds a dense level 1 and switches both ways between the steps,
+    so that the bitmap of the ranks seen is handed over in both directions."""
+    sparse_steps = []
+    sparse_step = ffwaring._sparse_step
+
+    def recorded(frontier, powers, bitmap, table, depth, place, p):
+        sparse_steps.append(depth)
+        return sparse_step(frontier, powers, bitmap, table, depth, place, p)
+
+    monkeypatch.setattr(ffwaring, "_sparse_step", recorded)
+    kinds = set()
+    for p, n in BFS_GRID:
+        f = FqField(p, find_irreducible(p, n))
+        q = f.q
+        for d in (d for d in range(1, q - 1) if (q - 1) % d == 0):
+            sparse_steps.clear()
+            levels, g = _sumset_levels(f, (q - 1) // d)
+            sizes = collections.Counter(levels)
+            if g is None:
+                sizes.pop(max(sizes))
+            last = max(sizes) + (g is None)
+            rule = [sizes[j - 1] * d * 8 <= min(sizes[j - 1], d) * (96 + (q >> 6)) for j in range(1, last + 1)]
+            assert sparse_steps == [j for j, sparse in enumerate(rule, 1) if sparse], (p, n, d)
+            if not rule[0]:
+                kinds.add("dense level 1")
+            kinds.update((a, b) for a, b in zip(rule, rule[1:]) if a != b)
+    assert kinds == {"dense level 1", (True, False), (False, True)}
+
+
 def test_to_coset_vector_examples():
     f4 = cyclotomic_field(2, 3)
     assert to_coset_vector(FqElem(f4, 0)) == ModVec(2, (0, 0, 0))
