@@ -846,7 +846,7 @@ def test_each_level_takes_the_step_of_the_cost_rule(monkeypatch):
     s d 8 <= min(s, d) (96 + q/64), with s the size of level j-1 read off the
     table (s = 1 at j = 1).  When g is None the empty last level L+1 runs too.
     The grid holds a dense level 1 and switches both ways between the steps,
-    so that the bitmap of the ranks seen is handed over in both directions."""
+    so that the bitmap of the ranks not yet seen is handed over both ways."""
     sparse_steps = []
     sparse_step = ffwaring._sparse_step
 
