@@ -65,6 +65,46 @@ def test_shift_norms_matches_the_direct_sum_for_any_weight_table():
             assert np.array(got).tolist() == want, (m, w)
 
 
+def _direct_sum(v, kind):
+    """Reference norm sequence: each shift's norm summed coordinate by coordinate."""
+    m = v.modulus
+    w = [c if kind is ONE else min(c, m - c) for c in range(m)]
+    return [sum(w[(c + x) % m] for c in v.coords) for x in range(m)]
+
+
+def test_a_kept_sequence_equals_the_direct_sum_at_every_shift():
+    # the first read fills the vector's kept sequence, and every later read,
+    # direct or through the readers that share it, must still be the direct sum
+    rng = random.Random(16)
+    for _ in range(300):
+        m = rng.randrange(1, 30)
+        v = random_vec(rng, m, rng.randrange(0, 10))
+        for kind in (ONE, LEE):
+            want = _direct_sum(v, kind)
+            assert norm_sequence(v, kind) == want, (v, kind)
+            assert is_admissible(v, kind) == (want[0] == min(want))
+            x, w = canonical_shift(v, kind)
+            assert x == want.index(min(want)) and norm_sequence(w, kind) == _direct_sum(w, kind)
+            assert norm_sequence(v, kind) == want, (v, kind)
+    for _ in range(100):
+        v = random_balanced(rng, 2 * rng.randrange(1, 12), 2 * rng.randrange(0, 5) + 1)
+        want = _direct_sum(v, LEE)
+        assert m_sequence(v)[0] == want[0] and norm_sequence(v, LEE) == want, v
+
+
+def test_mutating_a_returned_sequence_leaves_the_next_one_alone():
+    v = ModVec(6, (0, 1, 4))
+    for kind in (ONE, LEE):
+        want = _direct_sum(v, kind)
+        seq = norm_sequence(v, kind)
+        seq[0] = -1
+        seq.append(99)
+        again = norm_sequence(v, kind)
+        assert again == want and again is not seq
+        again.clear()
+        assert norm_sequence(v, kind) == want and is_admissible(v, kind) == (want[0] == min(want))
+
+
 def test_is_admissible_rejects_a_kind_that_is_not_a_norm_kind():
     v = ModVec(5, (0, 4))
     assert not is_admissible(v, ONE) and is_admissible(v, LEE)  # "one" once ran as LEE

@@ -8,6 +8,7 @@ from leewaring import (
     MDiffPlan,
     ModVec,
     NormKind,
+    brute_max_admissible,
     construct_even_dim,
     construct_max_lee,
     construct_max_norm1,
@@ -201,6 +202,35 @@ def test_construct_dispatch_small_grid():
             w = construct_max_norm1(m, r)
             assert norm(w, ONE) == g_bound(m, r), (m, r)
             assert is_admissible(w, ONE), (m, r)
+
+
+def _exact(v):
+    """Whether every coordinate is a Python int in [0, m) and v equals the checked ModVec of its coords."""
+    m = v.modulus
+    return type(m) is int and all(type(c) is int and 0 <= c < m for c in v.coords) and v == ModVec(m, v.coords)
+
+
+def test_built_vectors_hold_exact_coordinates_on_the_criterion_1_grid():
+    # the builders, halve and concat take their coordinates unchecked, so each
+    # branch's output must already be what the checked ModVec gate makes of it
+    for m in range(1, 9):
+        for r in range(1, 8):
+            for v in (construct_max_norm1(m, r), construct_max_lee(m, r)):
+                assert _exact(v) and len(v) == r, (m, r, v)
+            if m ** (r - 1) <= 5000:
+                for kind in (ONE, LEE):
+                    assert _exact(brute_max_admissible(m, r, kind).witness), (m, r, kind)
+    for m in range(1, 9):  # the builders the dispatch reaches, called directly
+        assert _exact(full_cycle(m))
+        for r in range(2, 9, 2):
+            assert _exact(construct_even_dim(m, r)), (m, r)
+        for r in range(1, m + 1, 2):
+            if m % 2:
+                assert _exact(construct_odd_modulus(m, r)), (m, r)
+            else:
+                assert _exact(vector_from_m_diffs(plan_even_modulus(m, r), r)), (m, r)
+    for m, r in ((2, 8000), (3, 50), (4, 11), (7, 11), (8, 23)):  # full cycles peeled off
+        assert _exact(construct_max_lee(m, r)) and _exact(construct_max_norm1(m, r)), (m, r)
 
 
 def test_constructions_are_deterministic():

@@ -8,6 +8,7 @@ from leewaring import (
     BudgetError,
     FqElem,
     FqField,
+    MDiffPlan,
     ModVec,
     NormKind,
     abs_least_residue,
@@ -30,6 +31,7 @@ from leewaring import (
     plan_even_vector,
     verify_remarks,
     verify_theorem1,
+    vector_from_m_diffs,
     verify_theorem2,
     waring_number,
 )
@@ -55,6 +57,9 @@ ENTRY_POINTS = [
     pytest.param(construct_max_lee, (5, 3), id="construct_max_lee"),
     pytest.param(construct_even_dim, (5, 4), id="construct_even_dim"),
     pytest.param(construct_odd_modulus, (5, 3), id="construct_odd_modulus"),
+    # the plan's steps and modulus come from the caller: the plan (10, (5,)) rebuilds (0,) in r = 1
+    pytest.param(lambda s: vector_from_m_diffs(MDiffPlan(10, (s,)), 1), (5,), id="vector_from_m_diffs-steps"),
+    pytest.param(lambda k: vector_from_m_diffs(MDiffPlan(2 * k, (5,)), 1), (5,), id="vector_from_m_diffs-modulus"),
     pytest.param(plan_even_modulus, (6, 3), id="plan_even_modulus"),
     pytest.param(plan_even_vector, (10, 3), id="plan_even_vector"),
     pytest.param(

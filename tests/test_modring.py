@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from leewaring import (
     concat,
     halve,
     norm,
+    norm_sequence,
     shift,
 )
 from leewaring.modring import weights
@@ -168,3 +171,17 @@ def test_concat_additivity_and_scaling():
         doubled = ModVec(2 * m, [2 * c for c in u.coords])
         assert norm(doubled, LEE) == 2 * norm(u, LEE)
         assert halve(doubled) == u
+
+
+def test_a_kept_sequence_is_invisible_to_eq_hash_repr_and_pickle():
+    # a vector keeps the norm sequences it has computed; the value alone decides
+    # equality, the hash, the repr and the pickled bytes
+    for m, coords in ((7, (0, 3, 5, 5)), (4, (0, 2)), (1, (0, 0)), (5, ())):
+        plain, kept = ModVec(m, coords), ModVec(m, coords)
+        for kind in (ONE, LEE):
+            norm_sequence(kept, kind)
+        assert kept == plain and hash(kept) == hash(plain) and repr(kept) == repr(plain)
+        assert pickle.dumps(kept) == pickle.dumps(plain)
+        for c in (pickle.loads(pickle.dumps(kept)), copy.deepcopy(kept), copy.copy(kept)):
+            assert c == plain and hash(c) == hash(plain) and repr(c) == repr(plain)
+            assert norm_sequence(c, LEE) == norm_sequence(plain, LEE)
