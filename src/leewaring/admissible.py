@@ -8,10 +8,12 @@ vector constructions.  shift_norms is the single-vector kernel that
 computes a norm sequence from a residue histogram and a weight table
 (modring.weights) in O(m) steps, chained by itertools at C speed; the
 oracle, which scores many states at once, sums rows of a shift table
-instead.  Admissibility, the canonical shift (which returns an admissible
-vector itself), balancedness and the m-sequence read the norm sequence and
-the coordinates with builtins and operator maps, not a Python step per
-entry.
+instead.  A vector keeps each norm sequence once computed (ModVec is
+immutable, so the sequence is a property of its value): admissibility, the
+canonical shift (which returns an admissible vector itself) and the
+m-sequence share one computation per vector and kind, and read it, the
+coordinates and balancedness with builtins and operator maps, not a
+Python step per entry.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import gcd
 from operator import add, le, mul, neg, sub
 from typing import Sequence
 
-from .modring import ModVec, NormKind, shift, weights
+from .modring import ModVec, NormKind, require_kind, shift, weights
 
 
 def shift_norms(hist, w):
@@ -64,31 +66,47 @@ def shift_norms(hist, w):
     return islice(accumulate(slopes, initial=sum(map(mul, w, hist))), m)
 
 
-def norm_sequence(v: ModVec, kind: NormKind) -> list[int]:
-    """All norms ||v + x*e|| for x = 0, ..., m-1, in O(m + r) by shift_norms.
+def _kept_norms(v: ModVec, kind: NormKind) -> list[int]:
+    """v's norm sequence of this kind, computed on the first call and kept on v.
 
+    The kept list itself comes back, for readers that do not change it.
     The histogram is counted coordinate by coordinate, a list index and an
     add each, which is faster than collections.Counter.
     """
-    hist = [0] * v.modulus
-    for c in v.coords:
-        hist[c] += 1
-    return list(shift_norms(hist, weights(v.modulus, kind)))
+    kept = v.__dict__.setdefault("_norms", {})
+    seq = kept.get(require_kind(kind))
+    if seq is None:
+        hist = [0] * v.modulus
+        for c in v.coords:
+            hist[c] += 1
+        seq = kept[kind] = list(shift_norms(hist, weights(v.modulus, kind)))
+    return seq
+
+
+def norm_sequence(v: ModVec, kind: NormKind) -> list[int]:
+    """All norms ||v + x*e|| for x = 0, ..., m-1, in O(m + r) by shift_norms.
+
+    A vector keeps each kind's sequence after the first call, so the later
+    calls, and is_admissible, canonical_shift and m_sequence, reuse it;
+    every call returns a fresh list that the caller may change.
+    """
+    return _kept_norms(v, kind).copy()
 
 
 def is_admissible(v: ModVec, kind: NormKind) -> bool:
-    """True iff entry 0 of the norm sequence is a global minimum."""
-    seq = norm_sequence(v, kind)
+    """True iff entry 0 of the norm sequence (kept on v) is a global minimum."""
+    seq = _kept_norms(v, kind)
     return seq[0] == min(seq)
 
 
 def canonical_shift(v: ModVec, kind: NormKind) -> tuple[int, ModVec]:
     """Smallest x minimising ||v + x*e||, with the shifted (admissible) vector.
 
-    Ties break towards the smallest shift so results are reproducible.  An
-    admissible v (least shift 0) comes back itself: ModVec is immutable.
+    Reads the norm sequence kept on v.  Ties break towards the smallest
+    shift so results are reproducible.  An admissible v (least shift 0)
+    comes back itself: ModVec is immutable.
     """
-    seq = norm_sequence(v, kind)
+    seq = _kept_norms(v, kind)
     x = seq.index(min(seq))
     return x, shift(v, x) if x else v
 
@@ -163,9 +181,10 @@ def m_sequence(v: ModVec) -> list[int]:
     m/2 - c (i odd) or m - c (i even), where c is coordinate r-i+1.  These
     r+1 values include every extremal value of the norm sequence over the
     shifts 0..m/2, and their absolute consecutive differences sum to m/2.
+    They are read off the LEE norm sequence kept on v.
     """
     if not is_balanced(v):
         raise ValueError("m_sequence needs a balanced vector")
-    seq = norm_sequence(v, NormKind.LEE)
+    seq = _kept_norms(v, NormKind.LEE)
     # shift m/2 - c or m - c, read as the index m/2 - c or -c: both lie in (-m, m)
     return [seq[0], *map(seq.__getitem__, map(sub, cycle((v.modulus // 2, 0)), reversed(v.coords)))]

@@ -13,7 +13,9 @@ constant memory.  Errors are reported in main alone:
 
 Exit codes: 0 success or match, 1 verified mismatch (a falsified formula
 or failed self-check; never expected), 2 usage, budget or hypothesis
-error, 3 vector not admissible in `check`, 4 Waring number undefined.
+error, 3 vector not admissible in `check`, 4 Waring number undefined,
+141 stdout closed by its reader (`... | head -1`), the code a shell
+reports for a process ended by SIGPIPE; nothing goes to stderr then.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_NOT_ADMISSIBLE = 3
 EXIT_UNDEFINED = 4
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE
 
 # Each norm's extremal construction and the closed form of its maximum.
 _EXTREMAL = {
@@ -327,7 +330,18 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The console entry point: main's exit code, or EXIT_CLOSED_PIPE when the reader
+    of stdout has gone.  As the signal module's note on SIGPIPE advises, stdout is
+    then pointed at devnull, so that the interpreter's flush at exit cannot fail again."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here at the latest, not at exit
+    except BrokenPipeError:
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

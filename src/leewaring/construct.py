@@ -16,7 +16,7 @@ from operator import add, index, mul, sub
 
 from .admissible import m_sequence
 from .errors import dims, positive
-from .modring import ModVec, concat, halve
+from .modring import ModVec, _reduced, concat, halve
 
 
 def construct_max_norm1(m: int, r: int) -> ModVec:
@@ -32,7 +32,7 @@ def construct_max_norm1(m: int, r: int) -> ModVec:
         t_k = ((r * (k - 1)) % m + r - (r * k) % m) // m
         coords.extend([m - k] * t_k)
     coords.extend([0] * (r - len(coords)))
-    return ModVec(m, coords)
+    return _reduced(m, coords)
 
 
 def full_cycle(m: int) -> ModVec:
@@ -42,7 +42,7 @@ def full_cycle(m: int) -> ModVec:
     dimension r = m.
     """
     m = positive(m, "modulus")
-    return ModVec(m, range(m))
+    return _reduced(m, range(m))
 
 
 def construct_even_dim(m: int, r: int) -> ModVec:
@@ -58,7 +58,7 @@ def construct_even_dim(m: int, r: int) -> ModVec:
         raise ValueError(f"dimension must be even and >= 2, got {r}")
     m = positive(m, "modulus")
     if m % 2 == 0:
-        return ModVec(m, (0, m // 2) * (r // 2))
+        return _reduced(m, (0, m // 2) * (r // 2))
     step = (m - 1) // 2
     coords: list[int] = []
     for i in range(r // 2):
@@ -101,11 +101,14 @@ def vector_from_m_diffs(plan: MDiffPlan, r: int) -> ModVec:
     Solving the step relations right to left: vr = m/2 - d0, then each
     earlier coordinate alternates around m/2 (v(r-i) = d_i + m/2 + v(r-i+1)
     for odd i, v(r-i) = v(r-i+1) - m/2 - d_i for even i), one accumulate.
-    The result is range-checked against the balanced chain, must end on
-    v1 = 0, and must reproduce the plan through m_sequence.
+    The plan's modulus and steps and r are read through operator.index (a
+    float raises TypeError), so the coordinates are exact ints.  The result
+    is range-checked against the balanced chain, which puts every
+    coordinate in [0, m), must end on v1 = 0, and must reproduce the plan
+    through m_sequence, whose norm sequence the vector keeps.
     """
-    plan.validate()
-    m, d = plan.modulus, plan.diffs
+    m, d, r = index(plan.modulus), tuple(map(index, plan.diffs)), index(r)
+    MDiffPlan(m, d).validate()
     if len(d) != r:
         raise ValueError(f"plan has {len(d)} steps but r={r}")
     if r % 2 != 1:
@@ -119,7 +122,7 @@ def vector_from_m_diffs(plan: MDiffPlan, r: int) -> ModVec:
         raise ValueError(f"inconsistent plan: coordinate {pos} = {vals[pos - 1]} outside [{lo}, {hi})")
     if vals[0] != 0:
         raise ValueError(f"inconsistent plan: first coordinate is {vals[0]}, not 0")
-    v = ModVec(m, vals)
+    v = _reduced(m, vals)
     ms = m_sequence(v)
     if tuple(map(sub, ms[1:], ms)) != d:
         raise ValueError("inconsistent plan: rebuilt vector does not reproduce the steps")
@@ -220,7 +223,7 @@ def construct_max_lee(m: int, r: int) -> ModVec:
     if r >= 2 * m:
         residual = r % m + m
         cycles = full_cycle(m).coords * ((r - residual) // m)
-        return ModVec(m, cycles + construct_max_lee(m, residual).coords)
+        return _reduced(m, cycles + construct_max_lee(m, residual).coords)
     if r % 2 == 0:
         return construct_even_dim(m, r)
     if m % 2 == 0:

@@ -226,12 +226,15 @@ def _pow(f: FqField, a: tuple[int, ...], e: int) -> tuple[int, ...]:
 class FqElem:
     """An element of FqField, held as its rank: the base-p number whose digits
     are its n coefficients in the power basis (constant first), read by coeffs.
-    The rank is read through operator.index and must lie in [0, q)."""
+    The field must be an FqField (else TypeError); the rank is read through
+    operator.index and must lie in [0, q)."""
 
     field: FqField
     rank: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.field, FqField):
+            raise TypeError(f"field must be an FqField, got {type(self.field).__name__}")
         rank = index(self.rank)
         if not 0 <= rank < self.field.q:
             raise ValueError(f"rank must lie in [0, {self.field.q}), got {rank}")
@@ -492,6 +495,22 @@ def _sparse_step(
     return fresh
 
 
+def _widen(table: array, typecode: str) -> array:
+    """table's entries in a zeroed array of the wider typecode, copied at C speed.
+
+    The wide array is viewed in entries of table's width, and table fills
+    every step-th one: the low half of each wide entry (the first on a
+    little-endian host, the last on a big-endian one), as array(typecode,
+    table) would, which converts one element at a time.  The strided copy
+    goes through a transient buffer of table's size.
+    """
+    wide = array(typecode, [0]) * len(table)
+    step = wide.itemsize // table.itemsize
+    low = 0 if sys.byteorder == "little" else step - 1
+    memoryview(wide).cast("B").cast(table.typecode)[low::step] = memoryview(table)
+    return wide
+
+
 def _level_table(table: array, planes: list, unreached: int):
     """The table of the sparse levels with the bit planes of the dense ones,
     and the ranks never reached at the largest entry value, ORed into it in
@@ -551,14 +570,14 @@ def _bfs(f: FqField, powers: list) -> tuple:
     Each level takes the cheaper of two steps (a direction-optimizing BFS,
     after Beamer, Asanovic and Patterson, SC 2012), both against one bitmap
     of the ranks not yet seen.  The sparse step sums the frontier and the
-    powers pair by pair as rank lists, into the table, widened at levels 255
-    and 65 535.  The dense step reads the bitmap as a bitset, an int with bit
-    t set for rank t, translates the frontier by each power (adding c to
-    digit i rotates that axis of the (p,)*n digit cube, one mask, two shifts
-    and an or) and writes the bitmap back.  Level 1, from {0}, is the powers'
-    own bitset, and every later level is a union of cosets of the powers.
-    It stops once no rank is left to reach.  Plane b holds the ranks whose
-    dense level has bit b set.
+    powers pair by pair as rank lists, into the table, widened by _widen at
+    levels 255 and 65 535.  The dense step reads the bitmap as a bitset, an
+    int with bit t set for rank t, translates the frontier by each power
+    (adding c to digit i rotates that axis of the (p,)*n digit cube, one
+    mask, two shifts and an or) and writes the bitmap back.  Level 1, from
+    {0}, is the powers' own bitset, and every later level is a union of
+    cosets of the powers.  It stops once no rank is left to reach.  Plane b
+    holds the ranks whose dense level has bit b set.
     """
     p, q, place = f.p, f.q, f._place
     size, seen, depth = 1, 1, 0
@@ -582,7 +601,7 @@ def _bfs(f: FqField, powers: list) -> tuple:
     while size and seen < q:
         depth += 1
         if depth in (255, 65535):  # the levels outgrow 1-byte entries, then 2-byte ones
-            table = array("H" if depth == 255 else "I", table)
+            table = _widen(table, "H" if depth == 255 else "I")
         if max(size, len(powers)) <= sparse_max:
             if type(frontier) is int:
                 frontier = list(_ranks(frontier))

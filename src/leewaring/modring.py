@@ -5,12 +5,19 @@ coordinates' weights: least residues (ONE) or distances to 0 on the
 m-cycle (LEE), listed by weights(m, kind) as one range (ONE) or a rising
 and a falling range (LEE).  Everything is exact integer arithmetic on
 immutable values, so all operations are safe to call concurrently.
+
+A vector keeps the norm sequence of each kind once admissible.norm_sequence
+has computed it, as a field that ==, hash, repr and pickling ignore; the
+write stores a value fixed by the coordinates, so a race between two
+threads only computes it twice.  ModVec(m, coords) checks and reduces
+every coordinate; the private _reduced takes coordinates that are exact
+ints in [0, m) by construction (concat, halve and the builders) as they are.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import index
 from typing import Iterable
 
@@ -40,10 +47,15 @@ class ModVec:
     legal with norm 0, and so is m = 1, where every coordinate is 0.
     The modulus and coordinates must be integers (operator.index); a float
     raises TypeError.
+
+    _norms holds the norm sequences computed so far, by NormKind, filled
+    by admissible.norm_sequence.  ==, hash and repr ignore it, and a
+    pickle or copy holds the modulus and coordinates alone.
     """
 
     modulus: int
     coords: tuple[int, ...]
+    _norms: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __init__(self, modulus: int, coords: Iterable[int] = ()):
         modulus = positive(modulus, "modulus")
@@ -52,6 +64,20 @@ class ModVec:
 
     def __len__(self) -> int:
         return len(self.coords)
+
+    def __reduce__(self):
+        return ModVec, (self.modulus, self.coords)
+
+
+def _reduced(modulus: int, coords: Iterable[int]) -> ModVec:
+    """ModVec(modulus, coords) for coordinates that are exact ints in [0, modulus), unchecked.
+
+    Only for coordinates canonical by construction; outside input goes
+    through the checked ModVec constructor.
+    """
+    v = object.__new__(ModVec)
+    v.__dict__.update(modulus=modulus, coords=tuple(coords))
+    return v
 
 
 def require_kind(kind: NormKind) -> NormKind:
@@ -89,7 +115,7 @@ def concat(u: ModVec, v: ModVec) -> ModVec:
     """Coordinates of u followed by those of v; both norms are additive."""
     if u.modulus != v.modulus:
         raise ValueError(f"modulus mismatch: {u.modulus} != {v.modulus}")
-    return ModVec(u.modulus, u.coords + v.coords)
+    return _reduced(u.modulus, u.coords + v.coords)
 
 
 def halve(v: ModVec) -> ModVec:
@@ -98,4 +124,4 @@ def halve(v: ModVec) -> ModVec:
         raise ValueError(f"modulus must be even to halve, got {v.modulus}")
     if any(c % 2 for c in v.coords):
         raise ValueError("not an even vector")
-    return ModVec(v.modulus // 2, (c // 2 for c in v.coords))
+    return _reduced(v.modulus // 2, (c // 2 for c in v.coords))

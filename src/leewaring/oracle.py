@@ -67,7 +67,7 @@ from operator import index
 
 from .admissible import norm_sequence
 from .errors import budgeted_power, charge, dims, positive
-from .modring import ModVec, NormKind, require_kind, weights
+from .modring import ModVec, NormKind, _reduced, require_kind, weights
 
 DEFAULT_BUDGET = 10**7
 # A tile, a prefix block and the suffix grid each hold about _CHUNK_ENTRIES entries.
@@ -202,8 +202,8 @@ def brute_max_admissible(
             cand = each[np.lexsort(each.T[::-1])[0]].tolist()  # the tile's smallest arrangement
             if peak > best or cand < top:
                 best, top = peak, cand
-    witness = ModVec(m, top)
-    seq = norm_sequence(witness, kind)  # admissible (no shift lowers it) and of norm best
+    witness = _reduced(m, top)  # ints in [0, m): tolist() after %= m
+    seq = norm_sequence(witness, kind)  # admissible (no shift lowers it) and of norm best; kept on the witness
     if not seq[0] == min(seq) == best:
         raise AssertionError("oracle witness failed its self-check")
     return OracleResult(best, witness, cosets)

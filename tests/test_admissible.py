@@ -112,6 +112,17 @@ def test_is_admissible_rejects_a_kind_that_is_not_a_norm_kind():
         is_admissible(v, "one")
 
 
+def test_every_reader_refuses_a_kind_that_is_not_a_norm_kind_once_a_sequence_is_kept():
+    # the kind is checked before the kept sequence is looked up, so an unhashable
+    # kind fails as a string does, with the NormKind message
+    v = ModVec(5, (0, 4))
+    norm_sequence(v, ONE), norm_sequence(v, LEE)
+    for kind in ("one", "lee", None, 1, ["lee"], {}):
+        for read in (norm_sequence, is_admissible, canonical_shift):
+            with pytest.raises(TypeError, match="^norm kind must be a NormKind, got "):
+                read(v, kind)
+
+
 def test_is_admissible_examples():
     assert is_admissible(ModVec(3, (2, 1, 0)), ONE)
     assert not is_admissible(ModVec(3, (1, 1)), LEE)

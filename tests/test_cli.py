@@ -273,6 +273,32 @@ def test_check_computes_the_norm_sequence_once(capsys, monkeypatch):
     assert "canonical shift: 2 -> 3,0,1" in out and "norm sequence: 4,3,2,3" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--m", "1..100", "--r", "1..100"],  # 10 001 lines, streamed
+        ["oracle", "--m", "1", "--r", "100000", "--norm", "lee"],  # a 200 kB witness line
+    ],
+    ids=["bounds", "oracle"],
+)
+def test_a_closed_pipe_exits_141_and_keeps_stderr_empty(argv):
+    # `leewaring bounds ... | head -1` once printed a BrokenPipeError traceback and
+    # exited 1, the code of a verified mismatch; each output is far over a pipe's buffer
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "leewaring", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first and (code, err) == (cli.EXIT_CLOSED_PIPE, b"") == (141, b"")
+
+
 def test_cli_import_leaves_numpy_unloaded():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     probe = "import sys, leewaring.cli; print('numpy' in sys.modules)"

@@ -130,6 +130,13 @@ def test_an_element_refuses_a_rank_outside_its_field(rank):
     assert FqElem(F, 0).rank == 0 and FqElem(F, 80).rank == 80
 
 
+@pytest.mark.parametrize("field", ["x", None, 3, (3, (1, 1, 1, 1, 1))])
+def test_an_element_refuses_a_field_that_is_not_an_fq_field(field):
+    # FqElem("x", 3) once failed with AttributeError: 'str' object has no attribute 'q'
+    with pytest.raises(TypeError, match="^field must be an FqField, got "):
+        FqElem(field, 3)
+
+
 def test_the_helpers_return_python_ints_and_keep_their_messages():
     assert type(positive(np.int64(3), "power")) is int
     assert [type(n) for n in dims(np.int32(2), np.int64(3))] == [int, int]
