@@ -6,6 +6,13 @@ dimensions, balanced vectors rebuilt from step plans (even modulus),
 halving even vectors (odd modulus), and full-cycle reductions for large
 dimensions.  Every routine returns a vector whose admissibility and exact
 norm are cheap to re-check; the test suite and the CLI self-check do so.
+
+The coordinates come out as exact ints in [0, m) by construction, so the
+vectors are made by modring._reduced, without ModVec's per-coordinate
+reduction; the odd-modulus even-dimension pairs, which wrap past m, and
+every outside input go through the checked ModVec.  A vector keeps the
+norm sequence its m_sequence self-check computes, and is_admissible and
+canonical_shift read that one.
 """
 
 from __future__ import annotations
