@@ -437,6 +437,9 @@ _MASKS_KEPT = 16
 # The planes are spread to the table this many ranks at a time, so that the
 # text and ints of a chunk stay a few MB whatever q is.
 _SPREAD_RANKS = 1 << 20
+# A table is widened this many ranks at a time: the strided copy of a chunk
+# goes through a buffer of the chunk's size, at most 128 kB.
+_WIDEN_RANKS = 1 << 16
 
 
 def _bits(ranks, q: int) -> int:
@@ -501,13 +504,15 @@ def _widen(table: array, typecode: str) -> array:
     The wide array is viewed in entries of table's width, and table fills
     every step-th one: the low half of each wide entry (the first on a
     little-endian host, the last on a big-endian one), as array(typecode,
-    table) would, which converts one element at a time.  The strided copy
-    goes through a transient buffer of table's size.
+    table) would, which converts one element at a time.  The copy runs
+    _WIDEN_RANKS entries at a time, so that its buffer stays small.
     """
     wide = array(typecode, [0]) * len(table)
     step = wide.itemsize // table.itemsize
     low = 0 if sys.byteorder == "little" else step - 1
-    memoryview(wide).cast("B").cast(table.typecode)[low::step] = memoryview(table)
+    view, narrow = memoryview(wide).cast("B").cast(table.typecode), memoryview(table)
+    for lo in range(0, len(table), _WIDEN_RANKS):
+        view[lo * step + low:(lo + _WIDEN_RANKS) * step:step] = narrow[lo:lo + _WIDEN_RANKS]
     return wide
 
 

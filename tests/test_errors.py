@@ -60,6 +60,7 @@ ENTRY_POINTS = [
     # the plan's steps and modulus come from the caller: the plan (10, (5,)) rebuilds (0,) in r = 1
     pytest.param(lambda s: vector_from_m_diffs(MDiffPlan(10, (s,)), 1), (5,), id="vector_from_m_diffs-steps"),
     pytest.param(lambda k: vector_from_m_diffs(MDiffPlan(2 * k, (5,)), 1), (5,), id="vector_from_m_diffs-modulus"),
+    pytest.param(lambda r: vector_from_m_diffs(MDiffPlan(10, (5,)), r), (1,), id="vector_from_m_diffs-r"),
     pytest.param(plan_even_modulus, (6, 3), id="plan_even_modulus"),
     pytest.param(plan_even_vector, (10, 3), id="plan_even_vector"),
     pytest.param(

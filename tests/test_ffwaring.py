@@ -37,7 +37,7 @@ from leewaring import (
     waring_number,
 )
 from leewaring import cli, ffwaring
-from leewaring.ffwaring import _MR_EXACT_BELOW, _is_prime, _mul, _pow, _sumset_levels
+from leewaring.ffwaring import _MR_EXACT_BELOW, _WIDEN_RANKS, _is_prime, _mul, _pow, _sumset_levels, _widen
 from leewaring.modring import weights
 
 
@@ -372,6 +372,16 @@ def test_prime_field_levels_are_the_norm_weights(p):
     assert list(_sumset_levels(f, p - 1)[0]) == weights(p, NormKind.ONE)
     if p > 2:
         assert list(_sumset_levels(f, (p - 1) // 2)[0]) == weights(p, NormKind.LEE)
+
+
+@pytest.mark.parametrize("n", [0, 1, _WIDEN_RANKS - 1, _WIDEN_RANKS, _WIDEN_RANKS + 1, 2 * _WIDEN_RANKS + 3])
+def test_a_widened_table_equals_the_element_by_element_copy(n):
+    # the strided chunked copy against array(typecode, table), across chunk ends
+    rng = random.Random(n)
+    narrow = array("B", bytes(rng.randrange(256) for _ in range(n)))
+    assert _widen(narrow, "H") == array("H", narrow) and _widen(narrow, "H").typecode == "H"
+    half = array("H", [rng.randrange(1 << 16) for _ in range(n)])
+    assert _widen(half, "I") == array("I", half) and _widen(half, "I").typecode == "I"
 
 
 def test_field_arithmetic_basics():
