@@ -11,7 +11,8 @@ has computed it, as a field that ==, hash, repr and pickling ignore; the
 write stores a value fixed by the coordinates, so a race between two
 threads only computes it twice.  ModVec(m, coords) checks and reduces
 every coordinate; the private _reduced takes coordinates that are exact
-ints in [0, m) by construction (concat, halve and the builders) as they are.
+ints in [0, m) by construction (concat, halve, the builders and the
+oracle's witness) as they are.
 """
 
 from __future__ import annotations
